@@ -19,10 +19,11 @@ from repro import (
     GTX580,
     K20M,
     Campaign,
+    CampaignKey,
     MatMulKernel,
     NeedlemanWunschKernel,
+    ProfileRepository,
     ReductionKernel,
-    Repository,
 )
 
 _CACHE = Path(__file__).parent / ".cache"
@@ -30,13 +31,14 @@ _CACHE = Path(__file__).parent / ".cache"
 
 def cached_campaign(kernel, arch, rng, problems=None, replicates=1, tag=None):
     """Collect (or reload) a campaign through the on-disk repository."""
-    repo = Repository(_CACHE)
-    if repo.has(kernel.name, arch.name, tag=tag):
-        return repo.load(kernel.name, arch.name, tag=tag)
+    repo = ProfileRepository(_CACHE)
+    key = CampaignKey(kernel.name, arch.name, tag=tag)
+    if repo.has(key):
+        return repo.load(key)
     campaign = Campaign(kernel, arch, rng=rng).run(
         problems=problems, replicates=replicates
     )
-    repo.save(campaign, tag=tag)
+    repo.save(campaign, key=key)
     return campaign
 
 

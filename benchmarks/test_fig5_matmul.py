@@ -33,7 +33,7 @@ def test_fig5_matmul(mm_campaign, benchmark):
     predictor = benchmark.pedantic(
         build_predictor, args=(mm_campaign,), rounds=1, iterations=1
     )
-    fit = predictor.fit_
+    fit = predictor.blackforest_fit
 
     print()
     print("==== Fig. 5a: MM variable importance ====")
@@ -58,13 +58,13 @@ def test_fig5_matmul(mm_campaign, benchmark):
     # (5b) predictions for unseen sizes
     unseen = [96, 208, 416, 608, 928, 1360, 1936]
     eval_campaign = Campaign(MatMulKernel(), GTX580, rng=99).run(problems=unseen)
-    report = predictor.report(eval_campaign)
+    report = predictor.assess(eval_campaign)
     print()
     print(prediction_table(report, title="Fig. 5b: predicted vs measured MM times"))
     assert report.explained_variance > 0.90   # paper: 98%
 
     # (5c) counter models
-    rows = predictor.counter_models_.quality_table()
+    rows = predictor.counter_models.quality_table()
     print()
     print(table(["counter", "model", "R^2", "residual deviance"], rows,
                 title="Fig. 5c: counter models vs matrix size"))
@@ -75,5 +75,5 @@ def test_fig5_matmul(mm_campaign, benchmark):
     )
 
     # reduced model keeps 6-8 variables with full predictive power
-    assert 6 <= len(predictor.retained_) <= 9
+    assert 6 <= len(predictor.retained) <= 9
     assert fit.reduced_retains_power

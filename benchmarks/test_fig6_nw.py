@@ -37,7 +37,7 @@ def test_fig6_nw(nw_campaign, benchmark):
     predictor = benchmark.pedantic(
         build_predictor, args=(nw_campaign,), rounds=1, iterations=1
     )
-    fit = predictor.fit_
+    fit = predictor.blackforest_fit
 
     print()
     print("==== Fig. 6a: NW variable importance ====")
@@ -75,15 +75,15 @@ def test_fig6_nw(nw_campaign, benchmark):
     eval_campaign = Campaign(NeedlemanWunschKernel(), GTX580, rng=77).run(
         problems=unseen
     )
-    report = predictor.report(eval_campaign)
+    report = predictor.assess(eval_campaign)
     print()
     print(prediction_table(report, title="Fig. 6b: predicted vs measured NW times"))
     assert report.explained_variance > 0.97
 
     # (6c) MARS counter models with high average R^2 (paper: 0.99)
-    rows = predictor.counter_models_.quality_table()
+    rows = predictor.counter_models.quality_table()
     print()
     print(table(["counter", "model", "R^2", "residual deviance"], rows,
                 title="Fig. 6c: MARS counter models vs sequence length"))
     assert any(kind == "mars" for _, kind, _, _ in rows)
-    assert predictor.counter_models_.average_r_squared > 0.95
+    assert predictor.counter_models.average_r_squared > 0.95

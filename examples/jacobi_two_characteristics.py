@@ -33,11 +33,11 @@ predictor = ProblemScalingPredictor(
     rng=2,
 ).fit(campaign)
 
-print("\nretained predictors:", predictor.retained_)
+print("\nretained predictors:", predictor.retained)
 
 # show which counter models needed interaction terms
 rows = []
-for name, model in sorted(predictor.counter_models_.models.items()):
+for name, model in sorted(predictor.counter_models.models.items()):
     interactions = (
         sum(1 for b in model.model.basis_ if b.degree >= 2)
         if model.kind == "mars" else 0
@@ -50,7 +50,7 @@ print(table(["counter", "model", "R^2", "interaction terms"], rows,
 # ---- predict unseen (size, iterations) pairs ----
 unseen = [(320, 3), (640, 12), (896, 24), (1280, 6), (448, 48)]
 eval_campaign = Campaign(kernel, GTX580, rng=77).run(problems=unseen)
-report = predictor.report(eval_campaign)
+report = predictor.assess(eval_campaign)
 
 rows = [
     (f"({int(n)}, {int(i)})", f"{p * 1e3:.3f} ms", f"{m * 1e3:.3f} ms",

@@ -32,7 +32,7 @@ print(f"training campaign: {len(train_campaign)} runs, "
 
 # ---- fit + problem-scaling predictor ----
 predictor = ProblemScalingPredictor(BlackForest(rng=1), rng=2).fit(train_campaign)
-fit = predictor.fit_
+fit = predictor.blackforest_fit
 
 print()
 print(importance_chart(fit.importance, k=10,
@@ -42,14 +42,14 @@ print(importance_chart(fit.importance, k=10,
 print()
 print(table(
     ["counter", "model", "R^2", "residual deviance"],
-    predictor.counter_models_.quality_table(),
+    predictor.counter_models.quality_table(),
     title="Counter models (Fig. 5c analogue)",
 ))
 
 # ---- predict unseen sizes (not in the training sweep) ----
 unseen = [96, 208, 416, 608, 928, 1360, 1936]
 eval_campaign = Campaign(kernel, GTX580, rng=99).run(problems=unseen)
-report = predictor.report(eval_campaign)
+report = predictor.assess(eval_campaign)
 
 print()
 print(prediction_report_text(

@@ -174,15 +174,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    if name == "Repository":
-        from repro._compat import warn_once
-
-        warn_once(
-            "Repository",
-            "repro.Repository was renamed to ProfileRepository; "
-            "the old name will be removed",
-        )
-        return ProfileRepository
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

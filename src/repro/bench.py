@@ -652,10 +652,7 @@ def bench_time_to_matrix(quick: bool = False) -> BenchResult:
         base_s = _best_of(lambda: repo.load(key).matrix(), 2)
         return _result(
             "time_to_matrix", n_runs, "stored runs", fast_s, base_s,
-            {
-                "n_predictors": X_fast.shape[1],
-                "layout": repo.layout,
-            },
+            {"n_predictors": X_fast.shape[1]},
         )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -936,9 +936,12 @@ def _cmd_chaos_serve(args) -> int:
 
 def cmd_repo(args) -> int:
     """Inspect / verify an on-disk profile repository."""
-    from repro.profiling import ProfileRepository
+    from repro.profiling import ProfileRepository, RepositoryIntegrityError
 
-    repo = ProfileRepository(args.root)
+    try:
+        repo = ProfileRepository(args.root)
+    except RepositoryIntegrityError as exc:
+        raise SystemExit(f"cannot open {args.root}: {exc}")
     if args.action == "list":
         metas = repo.list_campaigns()
         rows = [(m.get("kernel", "?"), m.get("arch", "?"),
@@ -947,21 +950,6 @@ def cmd_repo(args) -> int:
               table(["kernel", "arch", "tag", "runs"], rows,
                     title=f"repository {args.root}"))
         return 0
-
-    if args.action == "migrate":
-        summary = repo.migrate()
-        damaged = {
-            name: probs
-            for name, probs in summary.get("findings", {}).items()
-            if any("legacy" not in p for p in probs)
-        }
-        _emit(args, {"root": str(repo.root), **summary},
-              f"migrated {args.root} to layout v{summary['layout']}: "
-              f"{summary['migrated']} campaign(s) moved, "
-              f"{summary['indexed']} index(es) built, "
-              f"{len(summary['skipped'])} skipped, "
-              f"{len(damaged)} damaged")
-        return 1 if damaged else 0
 
     if args.action == "stats":
         s = repo.stats()
@@ -1020,9 +1008,7 @@ def cmd_publish(args) -> int:
             campaign = repo.load(key)
         except (FileNotFoundError, ValueError) as exc:
             raise SystemExit(f"cannot load {key} from {args.repo}: {exc}")
-        digest = repo.manifest_digest(key)
-        if digest is not None:
-            source["campaign_manifest_sha256"] = digest
+        source["campaign_manifest_sha256"] = repo.manifest_digest(key)
         print(f"loaded {len(campaign)} runs for {key} from {args.repo}",
               file=sys.stderr)
     else:
@@ -1547,9 +1533,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "repo",
-        help="inspect/verify/migrate an on-disk profile repository",
+        help="inspect/verify an on-disk profile repository",
     )
-    p.add_argument("action", choices=("verify", "list", "migrate", "stats"))
+    p.add_argument("action", choices=("verify", "list", "stats"))
     p.add_argument("root", help="repository root directory")
     p.add_argument("--quarantine", action="store_true",
                    help="(verify) move damaged campaigns into _quarantine/")

@@ -18,9 +18,9 @@ pins the one protocol they all implement now (see docs/api.md):
   structured :class:`repro.obs.report.Report` (bottleneck rankings,
   fit quality, counter tables) renderable to text/Markdown/HTML.
 
-Old call surfaces (positional config args, the positional
-``report(campaign)`` assess-alias) keep working for one release
-through :func:`repro._compat.warn_once` deprecation shims.
+Each operation has exactly one spelling: positional configuration
+raises ``TypeError``, and retired attribute names raise
+``AttributeError``.
 
 Batched prediction
 ------------------

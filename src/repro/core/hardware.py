@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import warn_once
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.preprocessing import sanitize_matrix, train_test_split
 from repro.obs import span
@@ -209,7 +208,7 @@ class HardwareScalingPredictor:
     def fit(
         self,
         train: CampaignResult,
-        *args,
+        *,
         variables: list[str] | None = None,
         common: list[str] | None = None,
     ) -> HardwareScalingFit:
@@ -221,24 +220,6 @@ class HardwareScalingPredictor:
         restricts to an explicit predictor list (the mixed-variable
         workaround). Both are keyword-only (unified predictor protocol).
         """
-        if args:
-            # Legacy positional order: (variables, common).
-            warn_once(
-                "HardwareScalingPredictor.fit:positional",
-                "passing HardwareScalingPredictor.fit configuration "
-                "positionally is deprecated; use keyword arguments "
-                "(variables=..., common=...)",
-            )
-            legacy = ("variables", "common")
-            if len(args) > len(legacy):
-                raise TypeError(
-                    f"fit() takes at most {len(legacy)} configuration "
-                    f"arguments ({len(args)} given)"
-                )
-            defaults = {"variables": variables, "common": common}
-            defaults.update(dict(zip(legacy, args)))
-            variables = defaults["variables"]
-            common = defaults["common"]
         emit_event(
             "fit.start",
             stage="hardware_scaling",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._compat import warn_once
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.metrics import explained_variance, mse
 from repro.ml.pca import PCA
@@ -261,7 +260,7 @@ class BlackForest:
     def fit(
         self,
         campaign: CampaignResult,
-        *args,
+        *,
         include_characteristics: bool = True,
         include_machine: bool = False,
         counters: list[str] | None = None,
@@ -275,34 +274,6 @@ class BlackForest:
         extension ("one could use other metrics of interest, such as
         power, as response variable").
         """
-        if args:
-            # Legacy positional order: (include_characteristics,
-            # include_machine, counters, response).
-            warn_once(
-                "BlackForest.fit:positional",
-                "passing BlackForest.fit configuration positionally is "
-                "deprecated; use keyword arguments "
-                "(include_characteristics=..., include_machine=..., "
-                "counters=..., response=...)",
-            )
-            legacy = ("include_characteristics", "include_machine",
-                      "counters", "response")
-            if len(args) > len(legacy):
-                raise TypeError(
-                    f"fit() takes at most {len(legacy)} configuration "
-                    f"arguments ({len(args)} given)"
-                )
-            defaults = {
-                "include_characteristics": include_characteristics,
-                "include_machine": include_machine,
-                "counters": counters,
-                "response": response,
-            }
-            defaults.update(dict(zip(legacy, args)))
-            include_characteristics = defaults["include_characteristics"]
-            include_machine = defaults["include_machine"]
-            counters = defaults["counters"]
-            response = defaults["response"]
         emit_event(
             "fit.start",
             stage="blackforest",

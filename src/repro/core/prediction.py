@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import warn_once
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.metrics import explained_variance, mse
 from repro.obs import span
@@ -133,66 +132,14 @@ class ProblemScalingFit:
                 measured_s=campaign.times(),
             )
 
-    def report(self, *args, campaign: CampaignResult | None = None,
+    def report(self, campaign: CampaignResult | None = None, *,
                trace=None, events=None, top_k: int = 10):
-        """Build a structured :class:`~repro.obs.report.Report`.
-
-        Calling with a *positional* campaign is the pre-report-layer
-        spelling — a deprecated alias of :meth:`assess` kept for one
-        release. Pass ``campaign=`` (or nothing) for the Report builder.
-        """
-        if args:
-            warn_once(
-                "ProblemScalingFit.report",
-                "ProblemScalingFit.report(campaign) is deprecated; use "
-                "assess(campaign) for a PredictionReport, or "
-                "report(campaign=...) for the structured Report",
-            )
-            if len(args) > 1:
-                raise TypeError(
-                    f"report() takes at most 1 positional argument "
-                    f"({len(args)} given)"
-                )
-            return self.assess(args[0])
+        """Build a structured :class:`~repro.obs.report.Report`."""
         from repro.obs.report import build_report
 
         return build_report(
             self, campaign, trace=trace, events=events, top_k=top_k
         )
-
-    # Aliases for the pre-protocol fitted-state attribute names (the
-    # chained ``predictor.fit(...)`` value used to be the predictor).
-    @property
-    def fit_(self) -> BlackForestFit:
-        warn_once(
-            "ProblemScalingFit.fit_",
-            "the fit_ attribute is deprecated; use blackforest_fit",
-        )
-        return self.blackforest_fit
-
-    @property
-    def retained_(self) -> list[str]:
-        warn_once(
-            "ProblemScalingFit.retained_",
-            "the retained_ attribute is deprecated; use retained",
-        )
-        return self.retained
-
-    @property
-    def forest_(self) -> RandomForestRegressor:
-        warn_once(
-            "ProblemScalingFit.forest_",
-            "the forest_ attribute is deprecated; use forest",
-        )
-        return self.forest
-
-    @property
-    def counter_models_(self) -> CounterModelSet:
-        warn_once(
-            "ProblemScalingFit.counter_models_",
-            "the counter_models_ attribute is deprecated; use counter_models",
-        )
-        return self.counter_models
 
 
 class ProblemScalingPredictor:
@@ -201,34 +148,11 @@ class ProblemScalingPredictor:
     def __init__(
         self,
         blackforest: BlackForest | None = None,
-        *args,
+        *,
         characteristic: str | list[str] = "size",
         prefer_mars: bool = False,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if args:
-            # Legacy positional order: (characteristic, prefer_mars, rng).
-            warn_once(
-                "ProblemScalingPredictor:positional",
-                "passing ProblemScalingPredictor configuration positionally "
-                "is deprecated; use keyword arguments (characteristic=..., "
-                "prefer_mars=..., rng=...)",
-            )
-            legacy = ("characteristic", "prefer_mars", "rng")
-            if len(args) > len(legacy):
-                raise TypeError(
-                    f"__init__() takes at most {len(legacy)} configuration "
-                    f"arguments ({len(args)} given)"
-                )
-            defaults = {
-                "characteristic": characteristic,
-                "prefer_mars": prefer_mars,
-                "rng": rng,
-            }
-            defaults.update(dict(zip(legacy, args)))
-            characteristic = defaults["characteristic"]
-            prefer_mars = defaults["prefer_mars"]
-            rng = defaults["rng"]
         self.blackforest = blackforest if blackforest is not None else BlackForest(rng=rng)
         self.characteristic = characteristic
         self.prefer_mars = prefer_mars
@@ -295,10 +219,6 @@ class ProblemScalingPredictor:
         # Fitted state mirrored on the predictor: protocol-level
         # predict/assess delegate to the most recent fit.
         self.last_fit_ = artifact
-        self.fit_ = fit
-        self.retained_ = retained
-        self.forest_ = forest
-        self.counter_models_ = counter_models
         emit_event(
             "fit.end",
             stage="problem_scaling",
@@ -323,23 +243,10 @@ class ProblemScalingPredictor:
         """Predict an evaluation campaign's problems and compare."""
         return self._require_fit().assess(campaign)
 
-    def report(self, *args, campaign: CampaignResult | None = None,
+    def report(self, campaign: CampaignResult | None = None, *,
                trace=None, events=None, top_k: int = 10):
         """Structured report for the most recent fit (see
         :meth:`ProblemScalingFit.report`)."""
-        if args:
-            warn_once(
-                "ProblemScalingPredictor.report",
-                "ProblemScalingPredictor.report(campaign) is deprecated; "
-                "use assess(campaign) for a PredictionReport, or "
-                "report(campaign=...) for the structured Report",
-            )
-            if len(args) > 1:
-                raise TypeError(
-                    f"report() takes at most 1 positional argument "
-                    f"({len(args)} given)"
-                )
-            return self.assess(args[0])
         return self._require_fit().report(
             campaign=campaign, trace=trace, events=events, top_k=top_k
         )

@@ -24,15 +24,26 @@ with two additions that stay deterministic:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
+import warnings
 from dataclasses import dataclass
-
-from repro._compat import warn_once
 
 from .errors import FaultError
 
 __all__ = ["RetryPolicy", "call_with_retry"]
+
+
+@functools.cache  # the once-per-process guard
+def _warn_jitter_without_key() -> None:
+    warnings.warn(
+        "RetryPolicy.backoff_for(attempt) without key= jitters every "
+        "caller identically; pass key=<call id> so concurrent retriers "
+        "desynchronize",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def _jitter_uniform(seed: int, attempt: int, key: str) -> float:
@@ -106,10 +117,10 @@ class RetryPolicy:
         the first attempt).
 
         ``key`` names the call being retried (request id, run key) and
-        feeds the jitter hash; with ``jitter > 0`` and no key the old
-        one-argument signature still works but warns once and jitters
-        on an empty key (every caller gets the same schedule — safe but
-        synchronized, the thundering herd jitter exists to avoid).
+        feeds the jitter hash; with ``jitter > 0`` and no key it warns
+        once per process (``RuntimeWarning``) and jitters on an empty
+        key — every caller then gets the same schedule, safe but
+        synchronized, the thundering herd jitter exists to avoid.
         """
         if attempt <= 1 or self.backoff_s <= 0:
             return 0.0
@@ -118,13 +129,7 @@ class RetryPolicy:
             wait = min(wait, self.max_backoff_s)
         if self.jitter > 0:
             if key is None:
-                warn_once(
-                    "retry-backoff-jitter-key",
-                    "RetryPolicy.backoff_for(attempt) without key= is "
-                    "deprecated when jitter > 0; pass key=<call id> so "
-                    "concurrent retriers desynchronize (jittering on an "
-                    "empty key for now)",
-                )
+                _warn_jitter_without_key()
                 key = ""
             wait *= 1.0 - self.jitter * _jitter_uniform(
                 self.seed, attempt, key

@@ -6,8 +6,6 @@
 the collected data, addressed by :class:`CampaignKey`.
 """
 
-from repro._compat import warn_once
-
 from .campaign import Campaign, CampaignResult, QuarantinedRun
 from .checkpoint import CampaignCheckpoint, CheckpointMismatch
 from .profiler import Profiler, RunRecord
@@ -26,13 +24,3 @@ __all__ = [
     "RepositoryIntegrityError",
 ]
 
-
-def __getattr__(name: str):
-    if name == "Repository":
-        warn_once(
-            "Repository",
-            "repro.profiling.Repository was renamed to ProfileRepository; "
-            "the old name will be removed",
-        )
-        return ProfileRepository
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,17 +8,15 @@ table of runs, a JSON metadata sidecar, a provenance manifest
 (:mod:`repro.profiling.index`), addressable by :class:`CampaignKey` and
 safely round-trippable.
 
-Two on-disk layouts exist (see docs/repository.md):
-
-* **v1 (flat, deprecated)** — one directory per campaign directly under
-  the root. Fine for hundreds of campaigns, wrong at production scale:
-  every listing and every ``verify_all`` touches every campaign.
-* **v2 (sharded)** — campaigns live under ``shards/<xx>/<dirname>/``
-  where ``xx`` is the first two hex chars of SHA-256(dirname) (256
-  buckets), and each bucket carries a ``shard.json`` manifest caching
-  campaign metadata plus file-stat snapshots. Listings are served from
-  the shard manifests and ``verify_all`` re-hashes only campaigns whose
-  files changed since their last clean verify — O(changed), not O(all).
+The on-disk layout is sharded (layout 2, see docs/repository.md):
+campaigns live under ``shards/<xx>/<dirname>/`` where ``xx`` is the
+first two hex chars of SHA-256(dirname) (256 buckets), and each bucket
+carries a ``shard.json`` manifest caching campaign metadata plus
+file-stat snapshots. Listings are served from the shard manifests and
+``verify_all`` re-hashes only campaigns whose files changed since their
+last clean verify — O(changed), not O(all). A root that is not a
+layout-2 repository (a flat tree of campaign directories, or a
+``repo.json`` declaring another layout) is refused, never rewritten.
 
 Writes are torn-proof: every artifact is written to a temp file, fsynced
 and renamed into place, so a crash mid-save leaves either the old
@@ -39,11 +37,11 @@ import hashlib
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from repro._compat import warn_once
 from repro.core.store import SHARD_DIR, CampaignKey, shard_of
 from repro.faults.plan import should_inject
 from repro.obs import Manifest, build_manifest
@@ -65,6 +63,9 @@ __all__ = ["CampaignKey", "ProfileRepository", "RepositoryIntegrityError"]
 _META = "meta.json"
 _DATA = "runs.csv"
 _MANIFEST = "manifest.json"
+#: Keys every ``meta.json`` carries; a campaign lacking one is corrupt.
+_META_KEYS = ("kernel", "arch", "family", "tag", "n_runs", "counters",
+              "characteristics", "machine_metrics")
 #: Layout marker at the root of a v2 repository.
 _REPO_MARKER = "repo.json"
 #: Per-bucket manifest file inside ``shards/<xx>/``.
@@ -72,9 +73,9 @@ _SHARD_MANIFEST = "shard.json"
 #: Schema tags (registered in repro.analysis.schemas).
 REPO_SCHEMA = "repro-repo/1"
 SHARD_SCHEMA = "repro-shard/1"
-#: Sub-directory verify-failed campaigns are moved into (always directly
-#: under the root, in both layouts). Its campaigns sit outside the
-#: campaign enumeration, so listing/loading never sees them.
+#: Sub-directory verify-failed campaigns are moved into (directly under
+#: the root). Its campaigns sit outside the campaign enumeration, so
+#: listing/loading never sees them.
 _QUARANTINE = "_quarantine"
 #: Files covered by shard-manifest stat snapshots.
 _TRACKED = (_META, _DATA, _MANIFEST)
@@ -82,7 +83,8 @@ _TRACKED = (_META, _DATA, _MANIFEST)
 
 class RepositoryIntegrityError(ValueError):
     """A stored campaign failed an integrity check (torn or corrupt
-    file, checksum mismatch, row-count mismatch). Subclasses
+    file, missing manifest or metadata key, checksum mismatch, row-count
+    mismatch), or the root is not a layout-2 repository. Subclasses
     ``ValueError`` so pre-existing ``except ValueError`` handling — and
     tests matching "corrupt" — keep working."""
 
@@ -162,34 +164,12 @@ def _stat_of(path: Path) -> list[int]:
     return [st.st_size, st.st_mtime_ns]
 
 
-def _as_key(
-    key: CampaignKey | str, arch: str | None, tag: str | None
-) -> CampaignKey:
-    """Accept the new key object or the legacy positional strings."""
-    if isinstance(key, CampaignKey):
-        if arch is not None or tag is not None:
-            raise TypeError(
-                "pass either a CampaignKey or (kernel, arch, tag) strings, "
-                "not both"
-            )
-        return key
-    warn_once(
-        "ProfileRepository:str-key",
-        "addressing repository campaigns with (kernel, arch, tag) strings "
-        "is deprecated; pass a CampaignKey",
-    )
-    if arch is None:
-        raise TypeError("string-addressed campaigns need kernel and arch")
-    return CampaignKey(kernel=key, arch=arch, tag=tag)
-
-
 class ProfileRepository:
     """Filesystem-backed store of :class:`CampaignResult` objects.
 
-    Implements the :class:`repro.core.RunStore` protocol. New
-    repositories use the sharded v2 layout; an existing flat v1 tree is
-    detected, served read/write compatibly with a one-time
-    ``DeprecationWarning``, and upgraded in place by :meth:`migrate`.
+    Implements the :class:`repro.core.RunStore` protocol. Opening a
+    root that holds anything but a layout-2 repository raises
+    :class:`RepositoryIntegrityError` and writes nothing.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -198,50 +178,37 @@ class ProfileRepository:
         marker = self.root / _REPO_MARKER
         if marker.exists():
             try:
-                layout = int(json.loads(_read_text(marker)).get("layout", 2))
-            except (json.JSONDecodeError, TypeError, ValueError):
+                layout = json.loads(_read_text(marker)).get("layout")
+            except (json.JSONDecodeError, AttributeError):
                 raise RepositoryIntegrityError(
                     f"repository corrupt: {_REPO_MARKER} is unreadable — "
                     f"cannot determine the on-disk layout"
                 ) from None
-            self._layout = 2 if layout >= 2 else 1
+            if layout != 2:
+                raise RepositoryIntegrityError(
+                    f"repository corrupt: {_REPO_MARKER} declares layout "
+                    f"{layout!r}; only layout 2 (sharded) is supported"
+                )
         elif any(self.root.glob(f"*/{_META}")):
-            self._layout = 1
-            warn_once(
-                "ProfileRepository:flat-layout",
-                "this repository uses the flat v1 layout, which is "
-                "deprecated (O(all) listings and verification); run "
-                "`repro repo migrate <root>` to upgrade to the sharded "
-                "v2 layout",
+            raise RepositoryIntegrityError(
+                f"repository corrupt: {self.root} is a flat layout-1 tree "
+                f"(campaign directories directly under the root); only "
+                f"layout 2 (sharded) is supported"
             )
         else:
-            self._layout = 2
             _atomic_write(
                 marker,
                 json.dumps({"schema": REPO_SCHEMA, "layout": 2}, indent=2),
                 "",
             )
 
-    @property
-    def layout(self) -> int:
-        """On-disk layout version: 1 (flat, deprecated) or 2 (sharded)."""
-        return self._layout
-
     # -- path scheme ---------------------------------------------------------
 
     def _campaign_dir(self, dirname: str) -> Path:
-        if self._layout == 1:
-            return self.root / dirname
         return self.root / SHARD_DIR / shard_of(dirname) / dirname
 
     def _campaign_dirnames(self) -> list[str]:
         """Every campaign dirname on disk (ground truth, sorted)."""
-        if self._layout == 1:
-            return sorted(
-                d.name
-                for d in self.root.iterdir()
-                if d.is_dir() and d.name != _QUARANTINE
-            )
         shards = self.root / SHARD_DIR
         if not shards.is_dir():
             return []
@@ -278,7 +245,7 @@ class ProfileRepository:
         """dirname → shard-manifest entry, merged over every bucket."""
         out: dict[str, dict] = {}
         shards = self.root / SHARD_DIR
-        if self._layout == 1 or not shards.is_dir():
+        if not shards.is_dir():
             return out
         for path in shards.glob(f"*/{_SHARD_MANIFEST}"):
             out.update(self._read_shard(path).get("campaigns", {}))
@@ -308,8 +275,6 @@ class ProfileRepository:
     def _update_shard_entry(
         self, dirname: str, *, meta: dict | None, verified: dict | None
     ) -> None:
-        if self._layout != 2:
-            return
         path = self._shard_manifest_path(dirname)
         shard = self._read_shard(path)
         shard["campaigns"][dirname] = {
@@ -322,8 +287,6 @@ class ProfileRepository:
         )
 
     def _drop_shard_entry(self, dirname: str) -> None:
-        if self._layout != 2:
-            return
         path = self._shard_manifest_path(dirname)
         shard = self._read_shard(path)
         if dirname in shard["campaigns"]:
@@ -334,8 +297,6 @@ class ProfileRepository:
 
     def _record_verified(self, snapshots: dict[str, dict]) -> None:
         """Batch-record clean-verify snapshots, one write per bucket."""
-        if self._layout != 2:
-            return
         by_bucket: dict[Path, dict[str, dict]] = {}
         for dirname, snap in snapshots.items():
             by_bucket.setdefault(
@@ -494,20 +455,19 @@ class ProfileRepository:
             return self.save(result, key=key, seed=seed, config=config)
 
         cdir = self._campaign_dir(key.dirname)
-        meta = json.loads(_read_text(cdir / _META))
-        if meta.get("kernel") != result.kernel or meta.get("arch") != result.arch:
+        meta = self._parse_meta(key.dirname, _read_text(cdir / _META))
+        if meta["kernel"] != result.kernel or meta["arch"] != result.arch:
             raise ValueError(
                 f"cannot append {result.kernel!r}/{result.arch!r} runs to "
                 f"campaign {key.dirname!r} "
-                f"({meta.get('kernel')!r}/{meta.get('arch')!r})"
+                f"({meta['kernel']!r}/{meta['arch']!r})"
             )
         old_bytes = (cdir / _DATA).read_bytes()
         old_text = old_bytes.decode()
         manifest = self.load_manifest(key)
-        if manifest is not None:
-            self._check_checksums(
-                key.dirname, manifest.checksums, {_DATA: old_text}
-            )
+        self._check_checksums(
+            key.dirname, manifest.checksums, {_DATA: old_text}
+        )
         try:
             new_rows = self._encode_rows(
                 result.records,
@@ -522,7 +482,7 @@ class ProfileRepository:
                 f"column {exc.args[0]!r}"
             ) from None
         data_text = old_text + new_rows
-        meta["n_runs"] = int(meta["n_runs"] or 0) + len(result.records)
+        meta["n_runs"] += len(result.records)
         meta_text = json.dumps(meta, indent=2)
         checksums = {_META: _sha256(meta_text), _DATA: _sha256(data_text)}
         _atomic_write(cdir / _META, meta_text, key.dirname)
@@ -547,13 +507,9 @@ class ProfileRepository:
             kernel=result.kernel,
             arch=result.arch,
             tag=key.tag,
-            seed=seed if seed is not None else (
-                manifest.seed if manifest is not None else None
-            ),
+            seed=seed if seed is not None else manifest.seed,
             n_runs=meta["n_runs"],
-            config=config or (
-                dict(manifest.config) if manifest is not None else {}
-            ),
+            config=config or dict(manifest.config),
             checksums=checksums,
         )
         _atomic_write(cdir / _MANIFEST, new_manifest.to_json(), key.dirname)
@@ -595,10 +551,11 @@ class ProfileRepository:
             try:
                 out.append(json.loads(_read_text(meta_path)))
             except (json.JSONDecodeError, RepositoryIntegrityError):
-                warn_once(
-                    f"ProfileRepository:unreadable:{dirname}",
+                warnings.warn(
                     f"skipping campaign {dirname!r}: corrupt "
                     f"meta.json (see ProfileRepository.verify)",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
         return out
 
@@ -615,60 +572,54 @@ class ProfileRepository:
         """Iterate stored keys (:class:`repro.core.RunStore`)."""
         yield from self.keys()
 
-    def load(
-        self,
-        key: CampaignKey | str,
-        arch: str | None = None,
-        tag: str | None = None,
-    ) -> CampaignResult:
+    @staticmethod
+    def _parse_meta(dirname: str, text: str) -> dict:
+        """A campaign's parsed ``meta.json``; unparseable JSON or a
+        missing required key raises :class:`RepositoryIntegrityError`."""
+        try:
+            meta = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise RepositoryIntegrityError(
+                f"repository corrupt: {dirname}/{_META} is not valid "
+                f"JSON ({exc})"
+            ) from None
+        for name in _META_KEYS:
+            if name not in meta:
+                raise RepositoryIntegrityError(
+                    f"repository corrupt: {dirname}/{_META} lacks the "
+                    f"required key {name!r}"
+                )
+        return meta
+
+    def load(self, key: CampaignKey) -> CampaignResult:
         """Load one campaign, verifying integrity on the way.
 
-        Data-file checksums (when the manifest records them) and the
-        meta row count are checked; failures raise
-        :class:`RepositoryIntegrityError`. Legacy entries — no manifest
-        sidecar, or meta files missing keys newer code writes — load
-        with a warning and sensible defaults instead of a bare
-        ``KeyError``.
+        The manifest must be present, its data-file checksums must
+        match, the metadata must carry every required key and the row
+        count must match it; any failure raises
+        :class:`RepositoryIntegrityError`.
         """
-        key = _as_key(key, arch, tag)
         cdir = self._campaign_dir(key.dirname)
         meta_path = cdir / _META
         if not meta_path.exists():
             raise FileNotFoundError(
                 f"no campaign stored for {key.kernel!r} on {key.arch!r}"
             )
-        meta_text = _read_text(meta_path)
-        try:
-            meta = json.loads(meta_text)
-        except json.JSONDecodeError as exc:
-            raise RepositoryIntegrityError(
-                f"repository corrupt: {key.dirname}/{_META} is not valid "
-                f"JSON ({exc})"
-            ) from None
         data_path = cdir / _DATA
         if not data_path.exists():
             raise RepositoryIntegrityError(
                 f"repository corrupt: {key.dirname} has metadata but no "
                 f"{_DATA}"
             )
+        meta_text = _read_text(meta_path)
         data_text = _read_text(data_path)
-
         manifest = self.load_manifest(key)
-        if manifest is None:
-            warn_once(
-                f"ProfileRepository:legacy:{key.dirname}",
-                f"campaign {key.dirname!r} has no provenance manifest "
-                f"(saved by an older version); loading without checksum "
-                f"verification",
-            )
-        else:
-            self._check_checksums(
-                key.dirname,
-                manifest.checksums,
-                {_META: meta_text, _DATA: data_text},
-            )
-
-        meta = self._normalize_meta(key, meta, data_text)
+        self._check_checksums(
+            key.dirname,
+            manifest.checksums,
+            {_META: meta_text, _DATA: data_text},
+        )
+        meta = self._parse_meta(key.dirname, meta_text)
         result = CampaignResult(
             kernel=meta["kernel"], arch=meta["arch"], family=meta["family"]
         )
@@ -701,7 +652,7 @@ class ProfileRepository:
                     },
                 )
             )
-        if meta["n_runs"] is not None and len(result.records) != meta["n_runs"]:
+        if len(result.records) != meta["n_runs"]:
             raise RepositoryIntegrityError(
                 f"repository corrupt: expected {meta['n_runs']} runs, "
                 f"found {len(result.records)}"
@@ -757,12 +708,7 @@ class ProfileRepository:
             return None
         return header, table
 
-    def rebuild_index(
-        self,
-        key: CampaignKey | str,
-        arch: str | None = None,
-        tag: str | None = None,
-    ) -> Path:
+    def rebuild_index(self, key: CampaignKey) -> Path:
         """(Re)build the columnar index from the stored CSV.
 
         Loads the campaign through the full integrity-checked path — a
@@ -770,7 +716,6 @@ class ProfileRepository:
         persists a fresh ``repro-matrix/1`` sidecar. Returns the
         campaign directory.
         """
-        key = _as_key(key, arch, tag)
         result = self.load(key)
         cdir = self._campaign_dir(key.dirname)
         index_text, index_payload = build_matrix_index(
@@ -782,7 +727,7 @@ class ProfileRepository:
 
     def matrix(
         self,
-        key: CampaignKey | str,
+        key: CampaignKey,
         counters=None,
         include_characteristics: bool = True,
         include_machine: bool = False,
@@ -838,66 +783,25 @@ class ProfileRepository:
                     f"write or bit rot; see ProfileRepository.quarantine)"
                 )
 
-    @staticmethod
-    def _normalize_meta(key: CampaignKey, meta: dict, data_text: str) -> dict:
-        """Fill keys newer code writes but legacy entries lack.
-
-        Column lists are recovered from the CSV header prefixes
-        (``char:``/``counter:``/``machine:``); a missing ``n_runs``
-        becomes ``None`` (count check skipped). Loud but non-fatal: a
-        years-old campaign is still data.
-        """
-        required = ("family", "tag", "n_runs", "counters",
-                    "characteristics", "machine_metrics")
-        missing = [k for k in required if k not in meta]
-        if missing:
-            warn_once(
-                f"ProfileRepository:legacy-meta:{key.dirname}",
-                f"campaign {key.dirname!r} metadata lacks {missing} (saved "
-                f"by an older version); reconstructing from the data file",
-            )
-            header = data_text.splitlines()[0].split(",") if data_text else []
-            defaults = {
-                "family": "unknown",
-                "tag": None,
-                "n_runs": None,
-                "counters": [h[len("counter:"):] for h in header
-                             if h.startswith("counter:")],
-                "characteristics": [h[len("char:"):] for h in header
-                                    if h.startswith("char:")],
-                "machine_metrics": [h[len("machine:"):] for h in header
-                                    if h.startswith("machine:")],
-            }
-            meta = {**defaults, **meta}
-        meta.setdefault("kernel", key.kernel)
-        meta.setdefault("arch", key.arch)
-        return meta
-
-    def has(
-        self,
-        key: CampaignKey | str,
-        arch: str | None = None,
-        tag: str | None = None,
-    ) -> bool:
-        key = _as_key(key, arch, tag)
+    def has(self, key: CampaignKey) -> bool:
         return (self._campaign_dir(key.dirname) / _META).exists()
 
-    def load_manifest(
-        self,
-        key: CampaignKey | str,
-        arch: str | None = None,
-        tag: str | None = None,
-    ) -> Manifest | None:
-        """The provenance manifest of a stored campaign, if present.
-
-        Returns ``None`` for campaigns saved before manifests existed;
-        raises :class:`RepositoryIntegrityError` when the file exists
-        but no longer parses.
-        """
-        key = _as_key(key, arch, tag)
+    def _manifest_path(self, key: CampaignKey) -> Path:
         path = self._campaign_dir(key.dirname) / _MANIFEST
         if not path.exists():
-            return None
+            raise RepositoryIntegrityError(
+                f"repository corrupt: {key.dirname}/{_MANIFEST} is missing "
+                f"(save interrupted before the manifest landed)"
+            )
+        return path
+
+    def load_manifest(self, key: CampaignKey) -> Manifest:
+        """The provenance manifest of a stored campaign.
+
+        Raises :class:`RepositoryIntegrityError` when the file is
+        missing or no longer parses.
+        """
+        path = self._manifest_path(key)
         try:
             return Manifest.read(path)
         except (json.JSONDecodeError, ValueError) as exc:
@@ -906,33 +810,19 @@ class ProfileRepository:
                 f"unreadable ({exc})"
             ) from None
 
-    def manifest_digest(
-        self,
-        key: CampaignKey | str,
-        arch: str | None = None,
-        tag: str | None = None,
-    ) -> str | None:
+    def manifest_digest(self, key: CampaignKey) -> str:
         """SHA-256 of a campaign's manifest file — its provenance identity.
 
         The fit registry (:mod:`repro.serve.registry`) uses this digest
         as the default version id of models trained on the campaign, so
         a served prediction traces back to the exact data it learned
-        from. ``None`` for legacy campaigns without a manifest.
+        from.
         """
-        key = _as_key(key, arch, tag)
-        path = self._campaign_dir(key.dirname) / _MANIFEST
-        if not path.exists():
-            return None
-        return _sha256(_read_text(path))
+        return _sha256(_read_text(self._manifest_path(key)))
 
     # -- integrity -----------------------------------------------------------
 
-    def verify(
-        self,
-        key: CampaignKey | str,
-        arch: str | None = None,
-        tag: str | None = None,
-    ) -> list[str]:
+    def verify(self, key: CampaignKey) -> list[str]:
         """Integrity findings for one stored campaign (empty = intact).
 
         Checks, without mutating anything: files present and parseable,
@@ -940,7 +830,6 @@ class ProfileRepository:
         the metadata, matrix index fresh. Always a full check; the
         stat-based fast path belongs to :meth:`verify_all`.
         """
-        key = _as_key(key, arch, tag)
         return self._verify_dirname(key.dirname)
 
     def _verify_dirname(self, dirname: str) -> list[str]:
@@ -969,8 +858,7 @@ class ProfileRepository:
         manifest_path = cdir / _MANIFEST
         if not manifest_path.exists():
             findings.append(
-                f"{dirname}/{_MANIFEST}: missing (legacy campaign — "
-                f"no checksums to verify)"
+                f"{dirname}/{_MANIFEST}: missing (no checksums to verify)"
             )
         else:
             try:
@@ -1006,8 +894,8 @@ class ProfileRepository:
         if not (cdir / MATRIX_META).exists() and not (
             cdir / MATRIX_DATA
         ).exists():
-            # No index at all is normal (legacy campaign, or dropped
-            # after an append): matrix() builds one lazily.
+            # No index at all is normal (dropped after an append):
+            # matrix() builds one lazily.
             return []
         if self._load_index(dirname) is None:
             return [
@@ -1080,19 +968,13 @@ class ProfileRepository:
             self._record_verified(clean_snapshots)
         return out
 
-    def quarantine(
-        self,
-        key: CampaignKey | str,
-        arch: str | None = None,
-        tag: str | None = None,
-    ) -> Path:
+    def quarantine(self, key: CampaignKey) -> Path:
         """Move a damaged campaign into ``<root>/_quarantine/``.
 
         The data is preserved for post-mortem (nothing is deleted) but
         disappears from :meth:`keys`/:meth:`list_campaigns`/:meth:`load`.
         Returns the new location.
         """
-        key = _as_key(key, arch, tag)
         if not self._campaign_dir(key.dirname).is_dir():
             raise FileNotFoundError(
                 f"no campaign stored for {key.kernel!r} on {key.arch!r}"
@@ -1110,87 +992,6 @@ class ProfileRepository:
         os.replace(self._campaign_dir(dirname), target)
         self._drop_shard_entry(dirname)
         return target
-
-    # -- layout migration ----------------------------------------------------
-
-    def migrate(self, build_index: bool = True) -> dict:
-        """Upgrade a flat v1 tree to the sharded v2 layout, in place.
-
-        Campaign directories are renamed (``os.replace``) into their
-        hash buckets — file contents are untouched, so the migration
-        round-trips bit-identically — then shard manifests and columnar
-        indexes are built and a full :meth:`verify_all` runs. Idempotent:
-        migrating a v2 repository only refreshes manifests/indexes.
-        Returns a summary dict (``migrated``, ``indexed``, ``skipped``,
-        ``findings``).
-        """
-        moved = 0
-        if self._layout == 1:
-            for cdir in sorted(self.root.iterdir()):
-                if not cdir.is_dir() or cdir.name in (_QUARANTINE, SHARD_DIR):
-                    continue
-                bucket = self.root / SHARD_DIR / shard_of(cdir.name)
-                bucket.mkdir(parents=True, exist_ok=True)
-                os.replace(cdir, bucket / cdir.name)
-                moved += 1
-            _atomic_write(
-                self.root / _REPO_MARKER,
-                json.dumps({"schema": REPO_SCHEMA, "layout": 2}, indent=2),
-                "",
-            )
-            self._layout = 2
-
-        indexed = 0
-        skipped: list[str] = []
-        for dirname in self._campaign_dirnames():
-            cdir = self._campaign_dir(dirname)
-            meta: dict | None
-            try:
-                meta = json.loads(_read_text(cdir / _META))
-            except (OSError, json.JSONDecodeError, RepositoryIntegrityError):
-                meta = None
-            self._update_shard_entry(dirname, meta=meta, verified=None)
-            if not build_index or self._load_index(dirname) is not None:
-                continue
-            try:
-                self.rebuild_index(self._dirname_key(dirname, meta))
-                indexed += 1
-            except (ValueError, FileNotFoundError, KeyError):
-                # Corrupt or legacy-unreadable campaign: leave it for
-                # verify_all below to report; never index damaged data.
-                skipped.append(dirname)
-        findings = self.verify_all(full=True)
-        summary = {
-            "layout": 2,
-            "migrated": moved,
-            "indexed": indexed,
-            "skipped": sorted(skipped),
-            "findings": {d: f for d, f in findings.items() if f},
-        }
-        emit_event(
-            "repository.migrate",
-            migrated=moved,
-            indexed=indexed,
-            skipped=len(skipped),
-        )
-        return summary
-
-    @staticmethod
-    def _dirname_key(dirname: str, meta: dict | None) -> CampaignKey:
-        """Best-effort key for a raw directory (migration bookkeeping)."""
-        if meta and meta.get("kernel") and meta.get("arch"):
-            return CampaignKey(
-                kernel=meta["kernel"],
-                arch=meta["arch"],
-                tag=meta.get("tag") or None,
-            )
-        parts = dirname.split("__")
-        if len(parts) >= 2:
-            return CampaignKey(
-                kernel=parts[0], arch=parts[1],
-                tag="__".join(parts[2:]) or None,
-            )
-        raise ValueError(f"cannot derive a CampaignKey for {dirname!r}")
 
     def stats(self) -> dict:
         """Repository shape at a glance: layout, campaign/run counts,
@@ -1211,24 +1012,14 @@ class ProfileRepository:
             else:
                 fresh += 1
         return {
-            "layout": self._layout,
+            "layout": 2,
             "campaigns": len(dirnames),
             "runs": runs,
             "shards": {
                 "used": len(fill),
-                "total": 256 if self._layout == 2 else 1,
+                "total": 256,
                 "max_fill": max(fill.values(), default=0),
             },
             "index": {"fresh": fresh, "stale": stale, "missing": missing},
         }
 
-
-def __getattr__(name: str):
-    if name == "Repository":
-        warn_once(
-            "Repository",
-            "repro.profiling.repository.Repository was renamed to "
-            "ProfileRepository; the old name will be removed",
-        )
-        return ProfileRepository
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

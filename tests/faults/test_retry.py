@@ -194,11 +194,11 @@ class TestSeededJitter:
         assert policy.backoff_for(3, key="anything") == pytest.approx(0.2)
 
     def test_jitter_without_key_warns_once(self):
-        from repro._compat import reset_deprecation_warnings
+        from repro.faults.retry import _warn_jitter_without_key
 
-        reset_deprecation_warnings()
+        _warn_jitter_without_key.cache_clear()
         policy = RetryPolicy(backoff_s=1.0, jitter=0.5)
-        with pytest.warns(DeprecationWarning, match="key="):
+        with pytest.warns(RuntimeWarning, match="key="):
             policy.backoff_for(2)
         import warnings
 

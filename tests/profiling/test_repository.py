@@ -5,7 +5,11 @@ import pytest
 from repro.gpusim import GTX580
 from repro.kernels import VectorAddKernel
 from repro.profiling.campaign import Campaign, CampaignResult
-from repro.profiling.repository import CampaignKey, ProfileRepository
+from repro.profiling.repository import (
+    CampaignKey,
+    ProfileRepository,
+    RepositoryIntegrityError,
+)
 
 KEY = CampaignKey("vectorAdd", "GTX580")
 
@@ -94,11 +98,12 @@ class TestManifest:
         assert manifest.config == {"replicates": 2}
         assert manifest.n_runs == len(campaign)
 
-    def test_manifest_missing_for_legacy_campaign(self, campaign, tmp_path):
+    def test_manifest_missing_refused(self, campaign, tmp_path):
         repo = ProfileRepository(tmp_path)
         cdir = repo.save(campaign)
         (cdir / "manifest.json").unlink()
-        assert repo.load_manifest(KEY) is None
+        with pytest.raises(RepositoryIntegrityError, match="missing"):
+            repo.load_manifest(KEY)
 
     def test_keys_lists_stored_campaigns(self, campaign, tmp_path):
         repo = ProfileRepository(tmp_path)

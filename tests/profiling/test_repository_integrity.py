@@ -1,10 +1,10 @@
-"""Repository integrity: checksums, verify/quarantine, legacy loads."""
+"""Repository integrity: checksums, verify/quarantine, refusals."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro._compat import reset_deprecation_warnings
 from repro.faults import FaultPlan, FaultSpec, fault_injection
 from repro.gpusim import GTX580
 from repro.kernels import VectorAddKernel
@@ -14,6 +14,7 @@ from repro.profiling import (
     ProfileRepository,
     RepositoryIntegrityError,
 )
+from repro.profiling import repository
 
 
 @pytest.fixture(scope="module")
@@ -136,42 +137,72 @@ class TestQuarantine:
             ProfileRepository(tmp_path).quarantine(CampaignKey("k", "a"))
 
 
-class TestLegacyEntries:
-    def test_manifestless_campaign_loads_with_warning(self, tmp_path, result):
-        repo = ProfileRepository(tmp_path)
-        cdir = repo.save(result, tag="legacy-nomanifest")
-        (cdir / "manifest.json").unlink()
-        reset_deprecation_warnings()
-        key = CampaignKey(result.kernel, result.arch, tag="legacy-nomanifest")
-        with pytest.warns(DeprecationWarning, match="no provenance manifest"):
-            loaded = repo.load(key)
-        assert len(loaded.records) == len(result.records)
-        findings = repo.verify(key)
-        assert any("legacy" in f for f in findings)
+def _torn_save(repo, result, tag, monkeypatch):
+    """Save, crashing just before ``manifest.json`` is written."""
+    real = repository._atomic_write
 
-    def test_meta_missing_new_keys_loads_with_warning(self, tmp_path, result):
-        # A campaign saved before family/tag/n_runs/column lists existed
-        # must load (reconstructed from the CSV header), not KeyError.
+    def crash_at_manifest(path, text, campaign):
+        if path.name == "manifest.json":
+            raise OSError("simulated crash before the manifest landed")
+        real(path, text, campaign)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repository, "_atomic_write", crash_at_manifest)
+        with pytest.raises(OSError, match="simulated crash"):
+            repo.save(result, tag=tag)
+    return CampaignKey(result.kernel, result.arch, tag=tag)
+
+
+class TestRefusals:
+    def test_torn_save_refuses_load(self, tmp_path, result, monkeypatch):
         repo = ProfileRepository(tmp_path)
-        cdir = repo.save(result, tag="legacy-meta")
+        key = _torn_save(repo, result, "torn", monkeypatch)
+        assert repo.has(key)
+        with pytest.raises(RepositoryIntegrityError, match="manifest.json"):
+            repo.load(key)
+        with pytest.raises(RepositoryIntegrityError, match="manifest.json"):
+            repo.load_manifest(key)
+        with pytest.raises(RepositoryIntegrityError, match="manifest.json"):
+            repo.manifest_digest(key)
+        # Damage, not drift: `repro repo verify` exits 1 on it.
+        findings = repo.verify(key)
+        assert f"{key.dirname}/manifest.json: missing (no checksums to " \
+            "verify)" in findings
+        assert not any("legacy" in f for f in findings)
+
+    def test_torn_save_refuses_append(self, tmp_path, result, monkeypatch):
+        repo = ProfileRepository(tmp_path)
+        key = _torn_save(repo, result, "torn", monkeypatch)
+        runs = next(tmp_path.glob(f"shards/*/{key.dirname}/runs.csv"))
+        before = runs.read_bytes()
+        with pytest.raises(RepositoryIntegrityError, match="manifest.json"):
+            repo.append(result, key=key)
+        assert runs.read_bytes() == before
+
+    def test_meta_missing_key_refused(self, tmp_path, result):
+        repo = ProfileRepository(tmp_path)
+        cdir = repo.save(result, tag="short-meta")
         meta = json.loads((cdir / "meta.json").read_text())
-        stripped = {"kernel": meta["kernel"], "arch": meta["arch"]}
-        (cdir / "meta.json").write_text(json.dumps(stripped))
-        (cdir / "manifest.json").unlink()  # pre-manifest era too
-        reset_deprecation_warnings()
-        key = CampaignKey(result.kernel, result.arch, tag="legacy-meta")
-        with pytest.warns(DeprecationWarning, match="older version"):
-            loaded = repo.load(key)
-        assert len(loaded.records) == len(result.records)
-        assert loaded.family == "unknown"
-        assert loaded.records[0].counters == result.records[0].counters
+        del meta["family"]
+        meta_text = json.dumps(meta, indent=2)
+        (cdir / "meta.json").write_text(meta_text)
+        # Re-seal the manifest so only the missing key is wrong.
+        manifest = json.loads((cdir / "manifest.json").read_text())
+        manifest["checksums"]["meta.json"] = hashlib.sha256(
+            meta_text.encode()
+        ).hexdigest()
+        (cdir / "manifest.json").write_text(json.dumps(manifest))
+        key = CampaignKey(result.kernel, result.arch, tag="short-meta")
+        with pytest.raises(RepositoryIntegrityError, match="'family'"):
+            repo.load(key)
+        with pytest.raises(RepositoryIntegrityError, match="'family'"):
+            repo.append(result, key=key)
 
     def test_list_campaigns_skips_unparsable_meta(self, tmp_path, result):
         repo = ProfileRepository(tmp_path)
         repo.save(result, tag="good")
         bad = repo.save(result, tag="bad")
         (bad / "meta.json").write_text("{broken")
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="skipping campaign"):
+        with pytest.warns(RuntimeWarning, match="skipping campaign"):
             metas = repo.list_campaigns()
         assert [m["tag"] for m in metas] == ["good"]

@@ -1,25 +1,24 @@
-"""Sharded v2 layout: shard routing, v1 compat, migration, stats.
+"""Sharded layout: shard routing, verify snapshots, stats, refusals.
 
-The migration contract under test: a flat v1 repository opens with a
-deprecation warning but reads fine, ``migrate()`` moves every campaign
-into its hash bucket **bit-identically** (``os.replace`` only — file
-contents untouched), and the result verifies clean. The deprecation-
-strict CI job runs this file with ``-W error::DeprecationWarning``, so
-every v1-layout open is wrapped in ``pytest.warns``.
+A root that is not a layout-2 repository — a flat tree of campaign
+directories, or a ``repo.json`` declaring another layout — is refused
+with :class:`RepositoryIntegrityError` and left exactly as it was.
 """
 
 import json
 import os
 
-import numpy as np
 import pytest
 
-from repro._compat import reset_deprecation_warnings
 from repro.core.store import SHARD_DIR, shard_of
 from repro.gpusim import GTX580
 from repro.kernels import VectorAddKernel
 from repro.profiling.campaign import Campaign
-from repro.profiling.repository import CampaignKey, ProfileRepository
+from repro.profiling.repository import (
+    CampaignKey,
+    ProfileRepository,
+    RepositoryIntegrityError,
+)
 
 KEY = CampaignKey("vectorAdd", "GTX580")
 
@@ -31,8 +30,8 @@ def campaign():
     )
 
 
-def flatten_to_v1(root):
-    """Demote a v2 tree to the flat v1 layout (campaign dirs at root)."""
+def flatten(root):
+    """Rewrite a repository as a flat tree: campaign dirs at the root."""
     for cdir in root.glob(f"{SHARD_DIR}/*/*"):
         if cdir.is_dir():
             os.replace(cdir, root / cdir.name)
@@ -46,8 +45,7 @@ def flatten_to_v1(root):
 
 class TestShardedLayout:
     def test_new_repository_is_v2(self, tmp_path):
-        repo = ProfileRepository(tmp_path)
-        assert repo.layout == 2
+        ProfileRepository(tmp_path)
         marker = json.loads((tmp_path / "repo.json").read_text())
         assert marker == {"schema": "repro-repo/1", "layout": 2}
 
@@ -132,91 +130,28 @@ class TestVerifySnapshots:
         assert any("corrupt" in f for f in findings[KEY.dirname])
 
 
-class TestV1Compat:
-    @pytest.fixture(autouse=True)
-    def _fresh_shims(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
+def _tree(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
-    def _make_v1(self, campaign, root):
-        ProfileRepository(root).save(campaign)
-        flatten_to_v1(root)
 
-    def test_flat_layout_opens_with_warning(self, campaign, tmp_path):
-        self._make_v1(campaign, tmp_path)
-        with pytest.warns(DeprecationWarning, match="repro repo migrate"):
-            repo = ProfileRepository(tmp_path)
-        assert repo.layout == 1
-        loaded = repo.load(KEY)
-        assert len(loaded) == len(campaign)
+class TestRefusals:
+    def test_flat_tree_refused_and_untouched(self, campaign, tmp_path):
+        ProfileRepository(tmp_path).save(campaign)
+        flatten(tmp_path)
+        before = _tree(tmp_path)
+        with pytest.raises(RepositoryIntegrityError, match="layout-1"):
+            ProfileRepository(tmp_path)
+        assert _tree(tmp_path) == before
+        assert not (tmp_path / "repo.json").exists()
 
-    def test_v1_matrix_works(self, campaign, tmp_path):
-        self._make_v1(campaign, tmp_path)
-        with pytest.warns(DeprecationWarning):
-            repo = ProfileRepository(tmp_path)
-        X, y, names = repo.matrix(KEY)
-        X2, y2, n2 = campaign.matrix()
-        assert names == n2
-        assert np.array_equal(X, X2) and np.array_equal(y, y2)
-
-    def test_migrate_roundtrips_bit_identically(self, campaign, tmp_path):
-        self._make_v1(campaign, tmp_path)
-        before = {
-            p.name: p.read_bytes()
-            for p in (tmp_path / KEY.dirname).iterdir()
-        }
-        with pytest.warns(DeprecationWarning):
-            repo = ProfileRepository(tmp_path)
-        summary = repo.migrate()
-        assert summary["migrated"] == 1
-        assert summary["findings"] == {}
-        cdir = tmp_path / SHARD_DIR / shard_of(KEY.dirname) / KEY.dirname
-        for name, payload in before.items():
-            assert (cdir / name).read_bytes() == payload
-        # Reopens as v2, no warning, same data.
-        repo2 = ProfileRepository(tmp_path)
-        assert repo2.layout == 2
-        X, y, names = repo2.matrix(KEY)
-        X2, y2, _ = campaign.matrix()
-        assert np.array_equal(X, X2) and np.array_equal(y, y2)
-
-    def test_migrate_builds_missing_index(self, campaign, tmp_path):
-        self._make_v1(campaign, tmp_path)
-        (tmp_path / KEY.dirname / "matrix.json").unlink()
-        (tmp_path / KEY.dirname / "matrix.npy").unlink()
-        with pytest.warns(DeprecationWarning):
-            repo = ProfileRepository(tmp_path)
-        summary = repo.migrate()
-        assert summary["indexed"] == 1
-        assert repo.stats()["index"]["fresh"] == 1
-
-    def test_migrate_is_idempotent(self, campaign, tmp_path):
-        self._make_v1(campaign, tmp_path)
-        with pytest.warns(DeprecationWarning):
-            repo = ProfileRepository(tmp_path)
-        repo.migrate()
-        again = repo.migrate()
-        assert again["migrated"] == 0
-        assert again["findings"] == {}
-
-    def test_v1_fits_match_v2_fits(self, campaign, tmp_path):
-        """Acceptance: fits from v1-flat and v2-sharded are bit-identical."""
-        from repro.ml.forest import RandomForestRegressor
-
-        self._make_v1(campaign, tmp_path)
-        with pytest.warns(DeprecationWarning):
-            v1 = ProfileRepository(tmp_path)
-        X1, y1, n1 = v1.matrix(KEY)
-        f1 = RandomForestRegressor(n_trees=6, rng=5).fit(X1, y1, n1)
-        v1.migrate()
-        v2 = ProfileRepository(tmp_path)
-        X2, y2, n2 = v2.matrix(KEY)
-        assert np.array_equal(X1, X2) and np.array_equal(y1, y2)
-        f2 = RandomForestRegressor(n_trees=6, rng=5).fit(X2, y2, n2)
-        probe = X1[:4]
-        assert np.array_equal(f1.predict(probe), f2.predict(probe))
-        assert np.array_equal(f1.importance_, f2.importance_)
+    @pytest.mark.parametrize("layout", [1, 3, None])
+    def test_marker_with_other_layout_refused(self, tmp_path, layout):
+        marker = {"schema": "repro-repo/1", "layout": layout}
+        (tmp_path / "repo.json").write_text(json.dumps(marker))
+        before = _tree(tmp_path)
+        with pytest.raises(RepositoryIntegrityError, match=f"layout {layout}"):
+            ProfileRepository(tmp_path)
+        assert _tree(tmp_path) == before
 
 
 class TestQuarantineV2:

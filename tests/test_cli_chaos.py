@@ -119,49 +119,25 @@ class TestRepoCommand:
         # A second verify over the now-empty root is clean.
         assert main(["repo", "verify", str(tmp_path)]) == 0
 
+    def test_missing_manifest_is_damage(self, tmp_path, capsys):
+        self._populate_clean(tmp_path)
+        cdir = next(tmp_path.glob("shards/*/*/manifest.json")).parent
+        (cdir / "manifest.json").unlink()
+        assert main(["repo", "verify", str(tmp_path)]) == 1
+        assert "DAMAGED" in capsys.readouterr().out
+        assert main(["repo", "verify", str(tmp_path), "--quarantine"]) == 0
+        assert (tmp_path / "_quarantine" / cdir.name).is_dir()
+        assert main(["repo", "verify", str(tmp_path)]) == 0
 
-class TestRepoMigrateStats:
-    def _populate_v1(self, root) -> None:
-        import warnings
 
-        from repro._compat import reset_deprecation_warnings
-        from tests.profiling.test_repository_v2 import flatten_to_v1
+class TestRepoStats:
+    def test_flat_tree_refused(self, tmp_path):
+        from tests.profiling.test_repository_v2 import flatten
 
-        TestRepoCommand()._populate_clean(root)
-        flatten_to_v1(root)
-        reset_deprecation_warnings()
-        # The CLI itself opens the v1 repo; keep the shim's warning out
-        # of the deprecation-strict run's way for the calls below.
-        warnings.simplefilter("ignore", DeprecationWarning)
-
-    def test_migrate_then_stats(self, tmp_path, capsys):
-        import warnings
-
-        with warnings.catch_warnings():
-            self._populate_v1(tmp_path)
-            assert main(["repo", "migrate", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "1 campaign(s) moved" in out
-        assert "0 damaged" in out
-        assert main(["repo", "stats", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "layout v2" in out
-        assert "campaigns: 1" in out
-
-    def test_migrate_json_idempotent(self, tmp_path, capsys):
-        import warnings
-
-        with warnings.catch_warnings():
-            self._populate_v1(tmp_path)
-            assert main([
-                "repo", "migrate", str(tmp_path), "--format", "json",
-            ]) == 0
-        capsys.readouterr()
-        assert main(["repo", "migrate", str(tmp_path),
-                     "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["migrated"] == 0
-        assert payload["layout"] == 2
+        TestRepoCommand()._populate_clean(tmp_path)
+        flatten(tmp_path)
+        with pytest.raises(SystemExit, match="layout-1"):
+            main(["repo", "stats", str(tmp_path)])
 
     def test_stats_json(self, tmp_path, capsys):
         TestRepoCommand()._populate_clean(tmp_path)

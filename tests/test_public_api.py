@@ -160,9 +160,12 @@ class TestExportSnapshots:
             assert getattr(repro, name) is not None
 
     def test_no_deprecated_names_in_all(self):
-        # the Repository shim resolves via __getattr__, not __all__
-        assert "Repository" not in repro.__all__
-        assert "Repository" not in repro.profiling.__all__
+        import repro.profiling.repository
+
+        for module in (repro, repro.profiling, repro.profiling.repository):
+            assert "Repository" not in getattr(module, "__all__", [])
+            with pytest.raises(AttributeError):
+                module.Repository
 
 
 class TestProtocolConformance:
@@ -193,3 +196,15 @@ class TestProtocolConformance:
             exec("from repro import *", namespace)
         assert "BlackForest" in namespace
         assert "Repository" not in namespace
+
+    def test_removed_spellings_raise(self, tmp_path):
+        with pytest.raises(TypeError):
+            repro.BlackForest().fit(None, True)
+        with pytest.raises(TypeError):
+            repro.ProblemScalingPredictor(None, "size")
+        with pytest.raises(TypeError):
+            repro.HardwareScalingPredictor().fit(None, ["size"])
+        with pytest.raises(TypeError):
+            repro.ProfileRepository(tmp_path).load("vectorAdd", "GTX580")
+        for alias in ("fit_", "retained_", "forest_", "counter_models_"):
+            assert not hasattr(repro.ProblemScalingFit, alias)
