@@ -16,8 +16,9 @@ rules flag source constructs that quietly break that property:
   string-hash randomization makes set order vary across *processes*,
   so any list/loop built from one differs between workers and runs.
 * **BF404** — direct ``open(..., "w")`` / ``Path.write_text`` in
-  persistence modules: durable artifacts must go through the atomic
-  tmp+fsync+rename helper so a crash can never leave a torn file.
+  persistence modules (``profiling/``, ``obs/``, ``serve/``, ``ml/``):
+  durable artifacts must go through :func:`repro.io.atomic_write` so a
+  crash can never leave a torn file.
 * **BF405** — ``multiprocessing``/``concurrent.futures`` outside
   :mod:`repro.parallel`: process fan-out must flow through the one
   audited helper that guarantees order-stable, bit-identical results.
@@ -91,7 +92,7 @@ _ORDER_INSENSITIVE_CONSUMERS = {
 
 #: Path fragments marking modules that persist pipeline artifacts (the
 #: scope of BF404).
-_PERSISTENCE_PATHS = ("/profiling/", "/obs/")
+_PERSISTENCE_PATHS = ("/profiling/", "/obs/", "/serve/", "/ml/")
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +259,8 @@ def _write_mode(call: ast.Call) -> str | None:
 
 
 @rule("BF404", Severity.ERROR, "determinism",
-      "persistence modules write artifacts via the atomic "
-      "tmp+fsync+rename helper, never a bare open('w')")
+      "persistence modules write artifacts via repro.io.atomic_write, "
+      "never a bare open('w')")
 def check_raw_writes(r, tree: ast.AST, path: str):
     normalized = "/" + path.replace("\\", "/").lstrip("/")
     if not any(frag in normalized for frag in _PERSISTENCE_PATHS):
@@ -272,15 +273,14 @@ def check_raw_writes(r, tree: ast.AST, path: str):
             if mode is not None and "w" in mode:
                 yield r.finding(
                     "bare open(..., 'w') can tear the artifact on a "
-                    "crash; route the write through the atomic "
-                    "tmp+fsync+rename helper",
+                    "crash; route the write through repro.io.atomic_write",
                     subject=f"{path}:{node.lineno}", qualname=qualname,
                 )
         elif isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "write_text":
             yield r.finding(
                 "Path.write_text is a non-atomic in-place write; route "
-                "the write through the atomic tmp+fsync+rename helper",
+                "the write through repro.io.atomic_write",
                 subject=f"{path}:{node.lineno}", qualname=qualname,
             )
 

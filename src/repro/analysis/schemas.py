@@ -49,7 +49,10 @@ manifest is a named BF6xx drift report pointing at the file, never a
   lines and every entry pairs an index with records or a quarantine.
 
 Used by ``repro lint --artifacts PATH``, wired into
-:meth:`ProfileRepository.verify_all` and the event/history readers.
+:meth:`ProfileRepository.verify_all` and :meth:`repro.io.Journal.read`
+(the checkpoint, event, history and telemetry readers). Both sides
+split JSONL with :func:`repro.io.parse_jsonl`, the one definition of a
+torn tail.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+from repro.io import parse_jsonl
 
 from .findings import Finding, Severity, rule, run_rules
 
@@ -408,26 +413,12 @@ def load_artifact(path: str | Path) -> ArtifactDocument:
         doc.records = [(1, data)]
         doc.tag = data.get("schema")
     else:
-        payloads: list[tuple[int, dict]] = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                rest = any(ln.strip() for ln in lines[lineno:])
-                if rest:
-                    doc.parse_error = (lineno, f"not valid JSON: {exc.msg}")
-                else:
-                    doc.torn_tail = lineno
-                break
-            if not isinstance(data, dict):
-                doc.parse_error = (lineno, "line is not a JSON object")
-                break
-            payloads.append((lineno, data))
-        doc.records = payloads
-        if payloads:
-            doc.tag = payloads[0][1].get("schema")
+        parsed = parse_jsonl(text)
+        doc.records = parsed.records
+        doc.torn_tail = parsed.torn_tail
+        doc.parse_error = parsed.error
+        if doc.records:
+            doc.tag = doc.records[0][1].get("schema")
 
     if doc.tag is not None:
         doc.schema = schema_for_tag(doc.tag)
@@ -593,8 +584,7 @@ def validate_fields(
 ) -> list[str]:
     """Problems with one in-memory payload against a registered schema.
 
-    The lightweight hook for readers (:func:`repro.obs.log.read_events`,
-    :func:`repro.obs.history.read_history`,
+    The lightweight hook for readers (:meth:`repro.io.Journal.read`,
     :meth:`~repro.obs.manifest.Manifest.from_json`): returns human
     strings naming the violated rule, empty when the payload conforms.
     """

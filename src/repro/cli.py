@@ -562,7 +562,7 @@ def cmd_chaos(args) -> int:
             specs.append(FaultSpec("parallel.worker", "crash",
                                    probability=args.worker_rate))
         if args.torn_rate > 0:
-            specs.append(FaultSpec("repository.write", "torn_file",
+            specs.append(FaultSpec("io.write", "torn_file",
                                    probability=args.torn_rate))
         if not specs:
             raise SystemExit(
@@ -1485,8 +1485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-rate", type=float, default=0.0,
                    help="probability a worker process crashes on an item")
     p.add_argument("--torn-rate", type=float, default=0.0,
-                   help="probability a repository write is torn "
-                   "(needs --save-to)")
+                   help="probability an artifact file write (the io.write "
+                   "site) is torn (needs --save-to)")
     p.add_argument("--transient", action="store_true",
                    help="launch faults fire once per run (retries recover)")
     p.add_argument("--retries", type=int, default=3,
@@ -1495,7 +1495,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-launch deadline in seconds")
     p.add_argument("--save-to",
                    help="save the surviving campaign into this repository "
-                   "and verify it (exercises repository.write faults)")
+                   "and verify it (exercises io.write faults)")
     p.add_argument("--serve", action="store_true",
                    help="chaos-test the prediction server instead: fit "
                    "the kernel, serve it, and drive concurrent retrying "

@@ -24,10 +24,15 @@ site                      modes
                           ``drop_counters``
 ``gpusim.launch``         ``raise``, ``truncate_trace``
 ``parallel.worker``       ``crash``
-``repository.write``      ``torn_file``, ``corrupt_file``
+``io.write``              ``torn_file``, ``corrupt_file``
 ``serve.request``         ``raise``, ``delay``
 ``registry.load``         ``corrupt``, ``missing``
 ========================  =============================================
+
+``io.write`` fires inside :func:`repro.io.atomic_write`, the one
+whole-file write path, with context ``file`` (the file name) and
+``dir`` (its parent directory's name — the campaign dirname for a
+repository file).
 
 The two serve-side sites drive ``repro chaos --serve``:
 ``serve.request`` fires inside the prediction server's request handling
@@ -59,7 +64,7 @@ SITES: dict[str, tuple[str, ...]] = {
     "profiler.launch": ("raise", "hang", "nan_counters", "drop_counters"),
     "gpusim.launch": ("raise", "truncate_trace"),
     "parallel.worker": ("crash",),
-    "repository.write": ("torn_file", "corrupt_file"),
+    "io.write": ("torn_file", "corrupt_file"),
     "serve.request": ("raise", "delay"),
     "registry.load": ("corrupt", "missing"),
 }

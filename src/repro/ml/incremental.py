@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.io import atomic_write
 from repro.obs import emit, span
 from repro.parallel import resolve_n_jobs, spawn_streams
 
@@ -166,13 +167,6 @@ def restore_forest(
     return forest
 
 
-def _write_state(path: Path, state: dict) -> None:
-    text = json.dumps(state, sort_keys=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _read_state(path: Path) -> dict | None:
     try:
         state = json.loads(path.read_text(encoding="utf-8"))
@@ -280,7 +274,9 @@ def fit_from_repo(
         ).fit(X, y, feature_names=list(names))
 
     if state_path is not None:
-        _write_state(Path(state_path), forest_state(forest))
+        atomic_write(
+            state_path, json.dumps(forest_state(forest), sort_keys=True)
+        )
     emit(
         "incremental.fit",
         campaign=str(key),

@@ -11,9 +11,9 @@ serving layer hits one of its triggers: SIGTERM, an unhandled worker
 exception, or a circuit breaker opening. Post-mortems then start from
 the captured tail instead of a reproduction attempt.
 
-The dump is write-then-rename atomic (a crash mid-dump never leaves a
-torn artifact) and re-entrant callers are serialized by a lock, so the
-signal path and a concurrent worker-exception path cannot interleave.
+The dump goes through :func:`repro.io.atomic_write` (a crash mid-dump
+never leaves a torn artifact) and re-entrant callers are serialized by
+a lock, so the signal path and a concurrent worker-exception path cannot interleave.
 :meth:`FlightRecorder.dump_once` is the edge-triggered variant used by
 the breaker-open hook: only the *first* trigger dumps, so a flapping
 breaker cannot overwrite the state captured at first failure.
@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import threading
 import time
 from collections import deque
 from pathlib import Path
+
+from repro.io import atomic_write
+
+from .manifest import provenance
 
 __all__ = [
     "FlightRecorder",
@@ -39,30 +42,6 @@ SCHEMA = "repro-flightrec/1"
 
 #: Default ring capacity (most recent records kept).
 DEFAULT_CAPACITY = 256
-
-
-def _provenance() -> dict:
-    from .manifest import SCHEMA as MANIFEST_SCHEMA, git_revision
-
-    return {
-        "schema": MANIFEST_SCHEMA,
-        "git_rev": git_revision(),
-        "python": platform.python_version(),
-        "host": platform.node(),
-        "machine": platform.machine(),
-    }
-
-
-def _atomic_dump(path: Path, text: str) -> None:
-    """Write-then-rename with fsync, same discipline as the profile
-    repository's atomic helper: a SIGKILL mid-dump leaves either the
-    previous artifact or the new one, never a torn hybrid."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 class FlightRecorder:
@@ -119,7 +98,7 @@ class FlightRecorder:
             "capacity": self.capacity,
             "recorded": self._seq,
             "dropped": max(0, self._seq - len(self._ring)),
-            "provenance": _provenance(),
+            "provenance": provenance(),
             "events": list(self._ring),
         }
 
@@ -133,7 +112,7 @@ class FlightRecorder:
         with self._lock:
             self.dump_count += 1
             doc = self._snapshot_doc(reason)
-        _atomic_dump(self.path, json.dumps(doc, sort_keys=True))
+        atomic_write(self.path, json.dumps(doc, sort_keys=True))
         return self.path
 
     def dump_once(self, reason: str) -> Path | None:
@@ -149,7 +128,7 @@ class FlightRecorder:
                 return None
             self.dump_count += 1
             doc = self._snapshot_doc(reason)
-        _atomic_dump(self.path, json.dumps(doc, sort_keys=True))
+        atomic_write(self.path, json.dumps(doc, sort_keys=True))
         return self.path
 
 

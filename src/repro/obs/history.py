@@ -7,11 +7,10 @@ This module gives those measurements a durable home and a tripwire:
 * :func:`append_history` appends each run as one JSONL line to
   ``benchmarks/history.jsonl`` — schema-tagged, carrying a
   ``repro-manifest/1`` provenance block (git revision, python, host) —
-  using the checkpoint-journal write discipline (flush + fsync per
-  line) so a crash mid-append can tear at most the final line;
-* :func:`read_history` loads the journal, tolerating exactly that torn
-  tail (the damaged line and anything after it is discarded, matching
-  :func:`repro.profiling.checkpoint` and :func:`repro.obs.log.read_events`);
+  through a :class:`repro.io.Journal` (flush + fsync per line), so a
+  crash mid-append can tear at most the final line;
+* :func:`read_history` loads the journal, discarding exactly that torn
+  tail;
 * :func:`compare_results` is the watchdog: per-op comparison of a fresh
   run against the committed ``BENCH_core.json`` baseline, flagging ops
   whose **speedup** dropped by more than a threshold. Speedups (fast
@@ -22,10 +21,12 @@ This module gives those measurements a durable home and a tripwire:
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 from pathlib import Path
+
+from repro.io import Journal
+
+from .manifest import provenance
 
 __all__ = [
     "append_history",
@@ -41,18 +42,6 @@ SCHEMA = "repro-bench-history/1"
 DEFAULT_THRESHOLD_PCT = 30.0
 
 
-def _provenance() -> dict:
-    from .manifest import SCHEMA as MANIFEST_SCHEMA, git_revision
-
-    return {
-        "schema": MANIFEST_SCHEMA,
-        "git_rev": git_revision(),
-        "python": platform.python_version(),
-        "host": platform.node(),
-        "machine": platform.machine(),
-    }
-
-
 def append_history(path: str | os.PathLike, payload: dict) -> Path:
     """Append one bench run to the history journal.
 
@@ -62,54 +51,22 @@ def append_history(path: str | os.PathLike, payload: dict) -> Path:
     provenance block. The append is flushed and fsynced so the journal
     survives the writing process.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = {
-        "schema": SCHEMA,
-        "provenance": _provenance(),
-        "bench": payload,
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    return path
+    Journal(path, SCHEMA).append(
+        {"schema": SCHEMA, "provenance": provenance(), "bench": payload}
+    )
+    return Path(path)
 
 
 def read_history(path: str | os.PathLike) -> list[dict]:
     """Load the history journal; a torn trailing line is discarded.
 
-    Lines that parse but do not conform to the registered
+    Lines that do not conform to the registered
     ``repro-bench-history/1`` schema are refused with the violated
     BF6xx rule named — format drift is a diagnosis, not a KeyError in
     the watchdog.
     """
-    from repro.analysis.schemas import validate_fields
-
     path = Path(path)
-    if not path.exists():
-        return []
-    entries: list[dict] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            break  # torn trailing append — drop it and everything after
-        if data.get("schema") != SCHEMA:
-            raise ValueError(
-                f"{path}: unknown history schema {data.get('schema')!r} "
-                f"(expected {SCHEMA!r})"
-            )
-        problems = validate_fields(data, SCHEMA)
-        if problems:
-            raise ValueError(
-                f"{path}:{lineno}: history line does not conform to "
-                f"{SCHEMA} — " + "; ".join(problems)
-            )
-        entries.append(data)
-    return entries
+    return Journal(path, SCHEMA).read() if path.exists() else []
 
 
 class Regression:

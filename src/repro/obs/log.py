@@ -16,20 +16,20 @@ the campaign/fit layers. Worker processes collect into their own fresh
 log (:func:`child_event_log`) and ship the events back for the parent
 to :meth:`EventLog.merge`, exactly the way spans are adopted.
 
-The JSONL sink follows the checkpoint-journal discipline
-(:mod:`repro.profiling.checkpoint`): every line is flushed and fsynced,
-and :func:`read_events` tolerates a torn trailing line (discarded, not
-fatal), so a crash mid-write never poisons the log.
+The JSONL sink is a :class:`repro.io.Journal`: every line is flushed
+and fsynced, and :func:`read_events` tolerates a torn trailing line
+(discarded, not fatal), so a crash mid-write never poisons the log.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.io import Journal
 
 __all__ = [
     "Event",
@@ -100,10 +100,9 @@ class EventLog:
     def __init__(self, path: str | os.PathLike | None = None) -> None:
         self.events: list[Event] = []
         self.path = Path(path) if path is not None else None
+        self._sink = Journal(self.path, SCHEMA) if path is not None else None
         self._seq = 0
         self._pid = os.getpid()
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def emit(self, kind: str, **fields) -> Event:
         """Record one event (timestamped now, on the span clock)."""
@@ -120,15 +119,9 @@ class EventLog:
             fields=fields,
         )
         self.events.append(event)
-        if self.path is not None:
-            self._append_line(event)
+        if self._sink is not None:
+            self._sink.append(event.to_dict())
         return event
-
-    def _append_line(self, event: Event) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
 
     # -- cross-process merge -------------------------------------------------
 
@@ -144,9 +137,9 @@ class EventLog:
         """
         self.events.extend(events)
         self.events.sort(key=lambda e: (e.t_s, e.pid, e.seq))
-        if self.path is not None:
+        if self._sink is not None:
             for event in events:
-                self._append_line(event)
+                self._sink.append(event.to_dict())
 
     # -- queries -------------------------------------------------------------
 
@@ -164,36 +157,13 @@ def read_events(path: str | os.PathLike) -> list[Event]:
     """Load a JSONL event log written by an :class:`EventLog` sink.
 
     Tolerant of a torn trailing line — a crash mid-append loses at most
-    the event being written (same contract as the campaign checkpoint
-    journal). Lines with an unknown schema tag, or tagged lines that
-    do not conform to the registered ``repro-events/1`` schema, are
-    refused loudly with the violated BF6xx rule named: a silent partial
-    parse of a drifted format is worse than an error.
+    the event being written. Lines with an unknown schema tag, or
+    tagged lines that do not conform to the registered
+    ``repro-events/1`` schema, are refused loudly with the violated
+    BF6xx rule named: a silent partial parse of a drifted format is
+    worse than an error.
     """
-    from repro.analysis.schemas import validate_fields
-
-    path = Path(path)
-    events: list[Event] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            break  # torn trailing append — discard it and the rest
-        if data.get("schema") != SCHEMA:
-            raise ValueError(
-                f"{path}: unknown event schema {data.get('schema')!r} "
-                f"(expected {SCHEMA!r})"
-            )
-        problems = validate_fields(data, SCHEMA)
-        if problems:
-            raise ValueError(
-                f"{path}:{lineno}: event does not conform to {SCHEMA} — "
-                + "; ".join(problems)
-            )
-        events.append(Event.from_dict(data))
-    return events
+    return [Event.from_dict(d) for d in Journal(path, SCHEMA).read()]
 
 
 # -- module-level collection state ------------------------------------------

@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-__all__ = ["Manifest", "git_revision", "build_manifest"]
+__all__ = ["Manifest", "git_revision", "provenance", "build_manifest"]
 
 #: Schema tag written into every manifest.
 SCHEMA = "repro-manifest/1"
@@ -44,6 +44,18 @@ def git_revision(root: str | Path | None = None) -> str | None:
     if out.returncode != 0:
         return None
     return out.stdout.strip() or None
+
+
+def provenance() -> dict:
+    """Manifest-style stamp of where a journal record was produced: git
+    revision, python version, host and machine."""
+    return {
+        "schema": SCHEMA,
+        "git_rev": git_revision(),
+        "python": platform.python_version(),
+        "host": platform.node(),
+        "machine": platform.machine(),
+    }
 
 
 @dataclass
@@ -94,11 +106,6 @@ class Manifest:
             )
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in known})
-
-    def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json())
-        return path
 
     @classmethod
     def read(cls, path: str | Path) -> "Manifest":

@@ -6,8 +6,9 @@ observable from outside*. A :class:`TelemetryExporter` periodically
 samples a snapshot callable and
 
 * appends one ``repro-telemetry/1`` JSONL record per sample to a
-  journal file — checkpoint-journal discipline (flush + fsync per
-  line, torn tail tolerated by :func:`read_telemetry`), with size-based
+  :class:`repro.io.Journal` (flush + fsync per line, torn tail
+  repaired before the first append after a restart and discarded by
+  :func:`read_telemetry`), with size-based
   rotation that keeps the ``.jsonl`` suffix on rotated generations so
   artifact lint still recognises them, and a manifest-style provenance
   stamp on the first record of every file;
@@ -25,14 +26,16 @@ telemetry on or off.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import platform
 import re
 import threading
 import time
 from pathlib import Path
+
+from repro.io import Journal
+
+from .manifest import provenance
 
 __all__ = [
     "TelemetryExporter",
@@ -52,18 +55,6 @@ DEFAULT_MAX_BYTES = 1 << 20
 
 #: Default number of rotated generations kept next to the live file.
 DEFAULT_MAX_FILES = 3
-
-
-def _provenance() -> dict:
-    from .manifest import SCHEMA as MANIFEST_SCHEMA, git_revision
-
-    return {
-        "schema": MANIFEST_SCHEMA,
-        "git_rev": git_revision(),
-        "python": platform.python_version(),
-        "host": platform.node(),
-        "machine": platform.machine(),
-    }
 
 
 def snapshot_doc(registry) -> dict:
@@ -118,7 +109,7 @@ class TelemetryExporter:
         if max_files < 1:
             raise ValueError("max_files must be >= 1")
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._journal = Journal(self.path, SCHEMA)
         self.snapshot_fn = snapshot_fn
         self.source = source
         self.interval_s = float(interval_s)
@@ -176,16 +167,13 @@ class TelemetryExporter:
                 "elapsed_s": time.monotonic() - self._t0,
             }
             if self._stamp_next:
-                record["provenance"] = _provenance()
+                record["provenance"] = provenance()
                 self._stamp_next = False
             record.update(body)
             record.setdefault("counters", {})
             record.setdefault("gauges", {})
             record.setdefault("timers", {})
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            self._journal.append(record)
             self._seq += 1
         return record
 
@@ -228,38 +216,13 @@ class TelemetryExporter:
 def read_telemetry(path: str | os.PathLike) -> list[dict]:
     """Load a telemetry journal; a torn trailing line is discarded.
 
-    Same contract as :func:`repro.obs.log.read_events`: a crash (or a
-    SIGTERM landing mid-append) loses at most the record being written;
-    parsed lines that do not conform to the registered
+    A crash (or a SIGTERM landing mid-append) loses at most the record
+    being written; records that do not conform to the registered
     ``repro-telemetry/1`` schema are refused with the violated BF6xx
     rule named.
     """
-    from repro.analysis.schemas import validate_fields
-
     path = Path(path)
-    if not path.exists():
-        return []
-    records: list[dict] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            break  # torn trailing append — drop it and everything after
-        if data.get("schema") != SCHEMA:
-            raise ValueError(
-                f"{path}: unknown telemetry schema {data.get('schema')!r} "
-                f"(expected {SCHEMA!r})"
-            )
-        problems = validate_fields(data, SCHEMA)
-        if problems:
-            raise ValueError(
-                f"{path}:{lineno}: telemetry record does not conform to "
-                f"{SCHEMA} — " + "; ".join(problems)
-            )
-        records.append(data)
-    return records
+    return Journal(path, SCHEMA).read() if path.exists() else []
 
 
 # -- Prometheus-style exposition ---------------------------------------------

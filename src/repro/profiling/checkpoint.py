@@ -3,9 +3,11 @@
 A checkpoint is an append-only JSONL file: a header line identifying
 the campaign (schema tag, kernel/arch, sweep fingerprint, RNG-state
 digest) followed by one line per *completed* problem — either its
-serialized run records or its quarantine record. Appends are flushed
-and fsynced, so an interrupted campaign loses at most the line being
-written; a torn trailing line is detected and discarded on resume.
+serialized run records or its quarantine record. It is a
+:class:`repro.io.Journal`: appends are flushed and fsynced, so an
+interrupted campaign loses at most the line being written, and a torn
+trailing line is discarded on resume and truncated away before the
+resumed run appends.
 
 Resume is bit-identical to an uninterrupted run because (a) every
 problem draws from its own pre-spawned RNG stream (so skipping finished
@@ -19,9 +21,9 @@ is worse than an error.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from pathlib import Path
+
+from repro.io import Journal, JournalCorruptError
 
 from .profiler import RunRecord
 
@@ -68,6 +70,7 @@ class CampaignCheckpoint:
 
     def __init__(self, path: str | Path, fingerprint: dict) -> None:
         self.path = Path(path)
+        self._journal = Journal(self.path, SCHEMA)
         self.fingerprint = fingerprint
         #: index -> list of record dicts (see RunRecord.to_dict)
         self.completed: dict[int, list[dict]] = {}
@@ -79,32 +82,31 @@ class CampaignCheckpoint:
         """Load (or create) the checkpoint for a campaign run.
 
         An existing file must carry a matching header; entry lines are
-        replayed into :attr:`completed`/:attr:`quarantined`. Any
-        undecodable line ends the valid prefix (a torn final append),
-        and everything after it is ignored.
+        replayed into :attr:`completed`/:attr:`quarantined`. A torn
+        final append is discarded (and truncated away before the next
+        append); damage before the last line raises
+        :class:`repro.io.JournalCorruptError`.
         """
         ckpt = cls(path, fingerprint)
         if ckpt.path.exists() and ckpt.path.stat().st_size > 0:
             ckpt._load()
         else:
-            ckpt.path.parent.mkdir(parents=True, exist_ok=True)
-            ckpt._append({"schema": SCHEMA, "fingerprint": fingerprint})
+            header = {"schema": SCHEMA, "fingerprint": fingerprint}
+            ckpt._journal.append(header)
         return ckpt
 
     def _load(self) -> None:
-        lines = self.path.read_text().splitlines()
+        bad_header = f"{self.path} is not a campaign checkpoint (bad header)"
         try:
-            header = json.loads(lines[0])
-        except (json.JSONDecodeError, IndexError):
-            raise CheckpointMismatch(
-                f"{self.path} is not a campaign checkpoint (bad header)"
-            ) from None
-        if header.get("schema") != SCHEMA:
-            raise CheckpointMismatch(
-                f"{self.path}: unknown checkpoint schema "
-                f"{header.get('schema')!r} (expected {SCHEMA!r})"
-            )
-        theirs = header.get("fingerprint", {})
+            lines = self._journal.read()
+        except JournalCorruptError:
+            raise
+        except ValueError as exc:  # a foreign, non-conforming header
+            raise CheckpointMismatch(f"{bad_header}: {exc}") from None
+        if not lines:  # nothing but a torn header
+            raise CheckpointMismatch(bad_header)
+        header, *entries = lines
+        theirs = header["fingerprint"]
         if theirs != self.fingerprint:
             differing = sorted(
                 k
@@ -115,33 +117,23 @@ class CampaignCheckpoint:
                 f"{self.path} was written by a different campaign "
                 f"(fields differing: {differing}); refusing to resume"
             )
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn trailing append — discard it and the rest
+        for entry in entries:
             index = int(entry["index"])
             if "records" in entry:
                 self.completed[index] = entry["records"]
             elif "quarantined" in entry:
                 self.quarantined[index] = entry["quarantined"]
 
-    def _append(self, obj: dict) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(obj) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     # -- recording -----------------------------------------------------------
 
     def record_result(self, index: int, records: list[RunRecord]) -> None:
         entry = [r.to_dict() for r in records]
         self.completed[index] = entry
-        self._append({"index": index, "records": entry})
+        self._journal.append({"index": index, "records": entry})
 
     def record_quarantine(self, index: int, quarantined: dict) -> None:
         self.quarantined[index] = quarantined
-        self._append({"index": index, "quarantined": quarantined})
+        self._journal.append({"index": index, "quarantined": quarantined})
 
     # -- queries -------------------------------------------------------------
 

@@ -18,16 +18,17 @@ last clean verify — O(changed), not O(all). A root that is not a
 layout-2 repository (a flat tree of campaign directories, or a
 ``repo.json`` declaring another layout) is refused, never rewritten.
 
-Writes are torn-proof: every artifact is written to a temp file, fsynced
-and renamed into place, so a crash mid-save leaves either the old
-campaign or the new one — never half of each. The manifest carries
-SHA-256 checksums of its sibling files; :meth:`ProfileRepository.verify`
-recomputes them (plus structural checks), and
-:meth:`ProfileRepository.quarantine` moves a damaged campaign aside into
-``_quarantine/`` instead of deleting evidence. Integrity failures raise
+Writes are torn-proof: every file goes through
+:func:`repro.io.atomic_write` (temp file + fsync + rename), so a crash
+mid-save leaves each file either old or new — never half of each, and
+the manifest lands last. The manifest carries SHA-256 checksums of
+its sibling files; :meth:`ProfileRepository.verify` recomputes them
+(plus structural checks), and :meth:`ProfileRepository.quarantine`
+moves a damaged campaign aside into ``_quarantine/`` instead of
+deleting evidence. Integrity failures raise
 :class:`RepositoryIntegrityError` (a ``ValueError`` whose message always
 says "corrupt"). Fault injection for all of this lives at the
-``repository.write`` site (see :mod:`repro.faults`).
+``io.write`` site (see :mod:`repro.faults`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.store import SHARD_DIR, CampaignKey, shard_of
-from repro.faults.plan import should_inject
+from repro.io import atomic_write
 from repro.obs import Manifest, build_manifest
 from repro.obs.log import emit as emit_event
 
@@ -108,54 +109,6 @@ def _read_text(path: Path) -> str:
         ) from None
 
 
-def _atomic_write(path: Path, text: str, campaign: str) -> None:
-    """Write-then-rename with fsync; the ``repository.write`` fault site.
-
-    An injected ``torn_file``/``corrupt_file`` rule damages the payload
-    *after* the caller computed checksums from the intact text — exactly
-    the disk-level damage :meth:`ProfileRepository.verify` exists to
-    catch.
-    """
-    fault = should_inject("repository.write", file=path.name, campaign=campaign)
-    if fault is not None:
-        if fault.mode == "torn_file":
-            fraction = float(fault.payload_dict.get("fraction", 0.5))
-            text = text[: int(len(text) * fraction)]
-        elif fault.mode == "corrupt_file":
-            # Flip a byte mid-file: still the right length, wrong content.
-            middle = len(text) // 2
-            text = text[:middle] + "\x00" + text[middle + 1 :]
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
-def _atomic_write_bytes(path: Path, data: bytes, campaign: str) -> None:
-    """Binary sibling of :func:`_atomic_write` (same fault site).
-
-    Used for the columnar index payload; injected damage makes the
-    payload hash mismatch its header, which demotes the index to stale —
-    rebuilt on the next ``matrix()``, never served.
-    """
-    fault = should_inject("repository.write", file=path.name, campaign=campaign)
-    if fault is not None:
-        if fault.mode == "torn_file":
-            fraction = float(fault.payload_dict.get("fraction", 0.5))
-            data = data[: int(len(data) * fraction)]
-        elif fault.mode == "corrupt_file":
-            middle = len(data) // 2
-            data = data[:middle] + b"\x00" + data[middle + 1 :]
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def _stat_of(path: Path) -> list[int]:
     """``[size, mtime_ns]`` — the cheap change detector shard manifests
     cache. A same-size same-mtime rewrite evades it (classic mtime
@@ -196,10 +149,9 @@ class ProfileRepository:
                 f"layout 2 (sharded) is supported"
             )
         else:
-            _atomic_write(
+            atomic_write(
                 marker,
                 json.dumps({"schema": REPO_SCHEMA, "layout": 2}, indent=2),
-                "",
             )
 
     # -- path scheme ---------------------------------------------------------
@@ -282,18 +234,14 @@ class ProfileRepository:
             "stat": self._stat_snapshot(dirname),
             "verified": verified,
         }
-        _atomic_write(
-            path, json.dumps(shard, indent=2, sort_keys=True), dirname
-        )
+        atomic_write(path, json.dumps(shard, indent=2, sort_keys=True))
 
     def _drop_shard_entry(self, dirname: str) -> None:
         path = self._shard_manifest_path(dirname)
         shard = self._read_shard(path)
         if dirname in shard["campaigns"]:
             del shard["campaigns"][dirname]
-            _atomic_write(
-                path, json.dumps(shard, indent=2, sort_keys=True), dirname
-            )
+            atomic_write(path, json.dumps(shard, indent=2, sort_keys=True))
 
     def _record_verified(self, snapshots: dict[str, dict]) -> None:
         """Batch-record clean-verify snapshots, one write per bucket."""
@@ -309,9 +257,7 @@ class ProfileRepository:
                     dirname, {"meta": None, "stat": snap}
                 )
                 entry["verified"] = snap
-            _atomic_write(
-                path, json.dumps(shard, indent=2, sort_keys=True), ""
-            )
+            atomic_write(path, json.dumps(shard, indent=2, sort_keys=True))
 
     # -- write ---------------------------------------------------------------
 
@@ -366,16 +312,16 @@ class ProfileRepository:
         # Checksums are of the *intended* content; a write torn on the
         # way to disk (crash, injected fault) therefore fails verify().
         checksums = {_META: _sha256(meta_text), _DATA: _sha256(data_text)}
-        _atomic_write(cdir / _META, meta_text, key.dirname)
-        _atomic_write(cdir / _DATA, data_text, key.dirname)
+        atomic_write(cdir / _META, meta_text)
+        atomic_write(cdir / _DATA, data_text)
 
         index_text, index_payload = build_matrix_index(
             result, data_text.encode()
         )
         # Payload before header: a crash in between leaves a header/
         # payload hash mismatch, i.e. a stale (rebuildable) index.
-        _atomic_write_bytes(cdir / MATRIX_DATA, index_payload, key.dirname)
-        _atomic_write(cdir / MATRIX_META, index_text, key.dirname)
+        atomic_write(cdir / MATRIX_DATA, index_payload)
+        atomic_write(cdir / MATRIX_META, index_text)
 
         manifest = build_manifest(
             kernel=result.kernel,
@@ -386,7 +332,7 @@ class ProfileRepository:
             config=config or {},
             checksums=checksums,
         )
-        _atomic_write(cdir / _MANIFEST, manifest.to_json(), key.dirname)
+        atomic_write(cdir / _MANIFEST, manifest.to_json())
         self._update_shard_entry(key.dirname, meta=meta, verified=None)
         emit_event(
             "repository.save",
@@ -485,8 +431,8 @@ class ProfileRepository:
         meta["n_runs"] += len(result.records)
         meta_text = json.dumps(meta, indent=2)
         checksums = {_META: _sha256(meta_text), _DATA: _sha256(data_text)}
-        _atomic_write(cdir / _META, meta_text, key.dirname)
-        _atomic_write(cdir / _DATA, data_text, key.dirname)
+        atomic_write(cdir / _META, meta_text)
+        atomic_write(cdir / _DATA, data_text)
 
         loaded = self._load_index(key.dirname, expect_source=old_bytes)
         if loaded is not None:
@@ -496,8 +442,8 @@ class ProfileRepository:
         else:
             extended = None
         if extended is not None:
-            _atomic_write_bytes(cdir / MATRIX_DATA, extended[1], key.dirname)
-            _atomic_write(cdir / MATRIX_META, extended[0], key.dirname)
+            atomic_write(cdir / MATRIX_DATA, extended[1])
+            atomic_write(cdir / MATRIX_META, extended[0])
         else:
             # Stale or absent index: drop it; matrix() rebuilds lazily.
             for name in (MATRIX_META, MATRIX_DATA):
@@ -512,7 +458,7 @@ class ProfileRepository:
             config=config or dict(manifest.config),
             checksums=checksums,
         )
-        _atomic_write(cdir / _MANIFEST, new_manifest.to_json(), key.dirname)
+        atomic_write(cdir / _MANIFEST, new_manifest.to_json())
         self._update_shard_entry(key.dirname, meta=meta, verified=None)
         emit_event(
             "repository.append",
@@ -721,8 +667,8 @@ class ProfileRepository:
         index_text, index_payload = build_matrix_index(
             result, (cdir / _DATA).read_bytes()
         )
-        _atomic_write_bytes(cdir / MATRIX_DATA, index_payload, key.dirname)
-        _atomic_write(cdir / MATRIX_META, index_text, key.dirname)
+        atomic_write(cdir / MATRIX_DATA, index_payload)
+        atomic_write(cdir / MATRIX_META, index_text)
         return cdir
 
     def matrix(

@@ -11,8 +11,8 @@ content digest for fits without a stored campaign. Layout::
     <root>/<campaign_dirname>/<version>/fit.json  # repro-fit/1 artifact
     <root>/<campaign_dirname>/<version>/manifest.json  # provenance sidecar
 
-Every write is atomic (temp file + fsync + rename, the discipline
-:mod:`repro.profiling.repository` established) and the sidecar manifest
+Every write goes through :func:`repro.io.atomic_write` (temp file +
+fsync + rename) and the sidecar manifest
 records the SHA-256 of ``fit.json``. :meth:`FitRegistry.load`
 recomputes it on the way in; a mismatch means the artifact on disk is
 not the artifact that was published, and the load is **refused** with a
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,7 @@ from typing import Iterator
 
 from repro.core.store import CampaignKey
 from repro.faults.plan import should_inject
+from repro.io import atomic_write
 from repro.obs import build_manifest
 from repro.obs.log import emit as emit_event
 
@@ -60,15 +60,6 @@ class RegistryIntegrityError(ValueError):
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,7 @@ class FitRegistry:
         version = version[:_VERSION_CHARS]
         vdir = self.root / key.dirname / version
         vdir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(vdir / _FIT, payload)
+        atomic_write(vdir / _FIT, payload)
         manifest = build_manifest(
             kernel=servable.kernel,
             arch=servable.arch,
@@ -126,7 +117,7 @@ class FitRegistry:
             },
             checksums={_FIT: digest},
         )
-        _atomic_write(vdir / _MANIFEST, manifest.to_json())
+        atomic_write(vdir / _MANIFEST, manifest.to_json())
         self._index_add(key, version)
         emit_event(
             "registry.publish", campaign=key.dirname, version=version
@@ -141,7 +132,7 @@ class FitRegistry:
             # "latest" tracks publish order, not first-seen order.
             index["versions"].remove(version)
         index["versions"].append(version)
-        _atomic_write(path, json.dumps(index, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(index, sort_keys=True) + "\n")
 
     @staticmethod
     def _read_index(path: Path) -> dict:
@@ -197,9 +188,10 @@ class FitRegistry:
         """Load one artifact, verifying its digest on the way.
 
         The sidecar manifest's recorded SHA-256 of ``fit.json`` is
-        recomputed from the bytes on disk; any mismatch refuses the
-        artifact with a :class:`RegistryIntegrityError` — a fit that
-        does not checksum is not served, ever.
+        recomputed from the bytes on disk; a mismatch, or a manifest
+        that records no digest at all, refuses the artifact with a
+        :class:`RegistryIntegrityError` — a fit that does not checksum
+        is not served, ever.
         """
         resolved = self.resolve_version(key, version)
         spec = should_inject(
@@ -216,29 +208,11 @@ class FitRegistry:
                 f"digest mismatch (injected fault at registry.load) — "
                 f"artifact refused"
             )
-        vdir = self.root / key.dirname / resolved
-        fit_path = vdir / _FIT
-        if not fit_path.exists():
+        if not (self.root / key.dirname / resolved / _FIT).exists():
             raise FileNotFoundError(
                 f"no fit stored for {key.dirname}@{resolved}"
             )
-        try:
-            payload = fit_path.read_text()
-        except UnicodeDecodeError as exc:
-            raise RegistryIntegrityError(
-                f"registry corrupt: {key.dirname}/{resolved}/{_FIT} is "
-                f"not valid UTF-8 ({exc})"
-            ) from None
-        expected = self._expected_digest(key, resolved)
-        actual = _sha256(payload)
-        if expected is not None and actual != expected:
-            # BF6xx-style named finding: artifact drift is refused, not
-            # served with fingers crossed.
-            raise RegistryIntegrityError(
-                f"BF610: registry corrupt: {key.dirname}/{resolved}/{_FIT} "
-                f"digest mismatch (manifest records {expected[:12]}…, disk "
-                f"has {actual[:12]}…) — artifact refused; re-publish the fit"
-            )
+        payload = self._verified_payload(key.dirname, resolved)
         try:
             servable = ServableFit.from_json(payload)
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
@@ -248,18 +222,43 @@ class FitRegistry:
             ) from None
         return servable
 
-    def _expected_digest(self, key: CampaignKey, version: str) -> str | None:
-        path = self.root / key.dirname / version / _MANIFEST
-        if not path.exists():
-            return None
+    def _verified_payload(self, dirname: str, version: str) -> str:
+        """``fit.json`` text of one version, checked against the digest
+        its manifest records; the one integrity check :meth:`load` and
+        :meth:`verify` share. Raises :class:`RegistryIntegrityError`."""
+        vdir = self.root / dirname / version
         try:
-            manifest = json.loads(path.read_text())
+            payload = (vdir / _FIT).read_text()
+        except UnicodeDecodeError as exc:
+            raise RegistryIntegrityError(
+                f"registry corrupt: {dirname}/{version}/{_FIT} is "
+                f"not valid UTF-8 ({exc})"
+            ) from None
+        try:
+            manifest = json.loads((vdir / _MANIFEST).read_text())
+        except FileNotFoundError:
+            manifest = {}
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RegistryIntegrityError(
-                f"registry corrupt: {key.dirname}/{version}/{_MANIFEST} "
+                f"registry corrupt: {dirname}/{version}/{_MANIFEST} "
                 f"is unreadable ({exc})"
             ) from None
-        return (manifest.get("checksums") or {}).get(_FIT)
+        expected = (manifest.get("checksums") or {}).get(_FIT)
+        if expected is None:
+            # No manifest (a publish that crashed before it landed) or
+            # no digest in it: damage, never a license to serve.
+            raise RegistryIntegrityError(
+                f"registry corrupt: {dirname}/{version}/{_MANIFEST} "
+                f"records no {_FIT} digest"
+            )
+        actual = _sha256(payload)
+        if actual != expected:
+            raise RegistryIntegrityError(
+                f"BF610: registry corrupt: {dirname}/{version}/{_FIT} "
+                f"digest mismatch (manifest records {expected[:12]}…, disk "
+                f"has {actual[:12]}…) — artifact refused; re-publish the fit"
+            )
+        return payload
 
     def keys(self) -> list[CampaignKey]:
         """The :class:`CampaignKey` of every campaign with published fits."""
@@ -309,39 +308,16 @@ class FitRegistry:
             return [str(exc)]
         findings: list[str] = []
         for version in index["versions"]:
-            fit_path = self.root / dirname / version / _FIT
-            if not fit_path.exists():
+            if not (self.root / dirname / version / _FIT).exists():
                 findings.append(
                     f"registry corrupt: {dirname}/{version}/{_FIT} is "
                     f"indexed but missing on disk"
                 )
                 continue
             try:
-                payload = fit_path.read_text()
-            except UnicodeDecodeError as exc:
-                findings.append(
-                    f"registry corrupt: {dirname}/{version}/{_FIT} is "
-                    f"not valid UTF-8 ({exc})"
-                )
-                continue
-            try:
-                expected = self._expected_digest(
-                    _DirnameKey(dirname), version
-                )
+                self._verified_payload(dirname, version)
             except RegistryIntegrityError as exc:
                 findings.append(str(exc))
-                continue
-            if expected is None:
-                findings.append(
-                    f"registry corrupt: {dirname}/{version}/{_MANIFEST} "
-                    f"records no {_FIT} digest"
-                )
-            elif _sha256(payload) != expected:
-                findings.append(
-                    f"BF610: registry corrupt: {dirname}/{version}/{_FIT} "
-                    f"digest mismatch (manifest records {expected[:12]}…, "
-                    f"disk has {_sha256(payload)[:12]}…)"
-                )
         return findings
 
     def verify_all(self) -> dict[str, list[str]]:
@@ -424,9 +400,7 @@ class FitRegistry:
                 if cache is not None:
                     cache.invalidate((dirname, version))
             index["versions"] = versions[-keep_latest:]
-            _atomic_write(
-                index_path, json.dumps(index, sort_keys=True) + "\n"
-            )
+            atomic_write(index_path, json.dumps(index, sort_keys=True) + "\n")
             removed[dirname] = drop
         emit_event(
             "registry.gc",
@@ -434,11 +408,3 @@ class FitRegistry:
             removed=sum(len(v) for v in removed.values()),
         )
         return removed
-
-
-class _DirnameKey:
-    """Duck-typed key for digest lookups addressed by directory name alone
-    (verification walks directories; kernel/arch need not be parseable)."""
-
-    def __init__(self, dirname: str) -> None:
-        self.dirname = dirname

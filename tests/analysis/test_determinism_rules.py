@@ -119,8 +119,10 @@ class TestBF403SetIteration:
 
 
 class TestBF404RawWrites:
-    def test_persistence_fixture_flagged(self):
-        findings = fixture_findings("obs/raw_writes.py")
+    @pytest.mark.parametrize("package", ["obs", "ml"])
+    def test_persistence_fixture_flagged(self, package):
+        source = (FIXTURES / "obs" / "raw_writes.py").read_text()
+        findings = lint_snippet(source, f"src/repro/{package}/raw_writes.py")
         assert [f.rule for f in findings] == ["BF404", "BF404"]
         messages = " ".join(f.message for f in findings)
         assert "open" in messages and "write_text" in messages

@@ -35,7 +35,7 @@ def write_manifest(tmp_path, mutate=None):
         trace_records=[], metrics={},
     )
     path = tmp_path / "manifest.json"
-    manifest.write(path)
+    path.write_text(manifest.to_json())
     if mutate is not None:
         data = json.loads(path.read_text())
         mutate(data)

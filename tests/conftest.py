@@ -6,10 +6,37 @@ small representative campaigns are built once per session.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import GTX480, GTX580, K20M, Campaign, MatMulKernel, NeedlemanWunschKernel, ReductionKernel
+
+
+@pytest.fixture()
+def crash_before_rename(monkeypatch):
+    """Context-manager factory: inside ``crash_before_rename(name)``,
+    :func:`repro.io.atomic_write` dies after writing and fsyncing
+    ``name.tmp`` but before renaming it over ``name`` — the state a
+    power cut at that instant leaves on disk."""
+
+    @contextmanager
+    def crash(name):
+        real = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == name:
+                raise OSError(f"simulated crash before {name} was renamed")
+            real(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace)
+            yield
+
+    return crash
 
 
 @pytest.fixture(scope="session")

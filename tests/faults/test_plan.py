@@ -20,7 +20,7 @@ class TestFaultSpecValidation:
 
     def test_mode_validated_per_site(self):
         with pytest.raises(ValueError, match="invalid for site"):
-            FaultSpec("repository.write", "raise")
+            FaultSpec("io.write", "raise")
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError, match="probability"):
@@ -107,7 +107,7 @@ class TestPlanDecide:
         assert plan.decide("profiler.launch", {"problem": 2}).mode == "hang"
 
     def test_site_filter(self):
-        plan = FaultPlan([FaultSpec("repository.write", "torn_file")])
+        plan = FaultPlan([FaultSpec("io.write", "torn_file")])
         assert plan.decide("profiler.launch", {}) is None
 
     def test_events_and_summary(self):

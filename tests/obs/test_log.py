@@ -166,20 +166,10 @@ class TestJsonlSink:
         EventLog(path).emit("tick")
         assert len(read_events(path)) == 1
 
-    def test_torn_trailing_line_discarded(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with event_log(path):
-            emit("one")
-            emit("two")
-        with open(path, "a") as fh:
-            fh.write('{"schema": "repro-events/1", "kind": "torn"')
-        loaded = read_events(path)
-        assert [e.kind for e in loaded] == ["one", "two"]
-
     def test_unknown_schema_raises(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text(json.dumps({"schema": "repro-events/99"}) + "\n")
-        with pytest.raises(ValueError, match="unknown event schema"):
+        with pytest.raises(ValueError, match="unknown schema"):
             read_events(path)
 
     def test_blank_lines_skipped(self, tmp_path):

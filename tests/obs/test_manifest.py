@@ -22,14 +22,14 @@ class TestManifestRoundtrip:
             kernel="matrixMul", arch="GTX580", tag="trial", seed=7,
             n_runs=42, config={"n_trees": 300},
         )
-        path = m.write(tmp_path / "manifest.json")
+        path = tmp_path / "manifest.json"
+        path.write_text(m.to_json())
         back = Manifest.read(path)
         assert back == m
 
     def test_schema_tag_written(self, tmp_path):
         m = Manifest(kernel="k", arch="a")
-        path = m.write(tmp_path / "m.json")
-        data = json.loads(path.read_text())
+        data = json.loads(m.to_json())
         assert data["schema"] == SCHEMA
 
     def test_unknown_schema_rejected(self):

@@ -18,6 +18,8 @@ def _campaign(rng=11):
 
 
 def _records_equal(a, b) -> bool:
+    """Field-wise equality; the dict fields compare in key order, since
+    a campaign takes its feature-column order from the first record."""
     if len(a) != len(b):
         return False
     for ra, rb in zip(a, b):
@@ -26,9 +28,10 @@ def _records_equal(a, b) -> bool:
             or ra.replicate != rb.replicate
             or ra.time_s != rb.time_s
             or ra.power_w != rb.power_w
-            or ra.counters != rb.counters
-            or ra.characteristics != rb.characteristics
-            or ra.machine != rb.machine
+            or list(ra.counters.items()) != list(rb.counters.items())
+            or list(ra.characteristics.items())
+            != list(rb.characteristics.items())
+            or list(ra.machine.items()) != list(rb.machine.items())
         ):
             return False
     return True
@@ -67,13 +70,21 @@ class TestResumeBitIdentity:
         assert not resumed.quarantined
 
     def test_torn_trailing_line_is_discarded(self, tmp_path):
+        # A crash mid-append, then a resume to completion: the resumed
+        # run must not fuse its entries onto the fragment, so a second
+        # resume finds every problem done and profiles nothing.
         ckpt = tmp_path / "sweep.ckpt"
         full = _campaign().run(problems=PROBLEMS, checkpoint=ckpt)
-        _truncate_to_entries(ckpt, 3)
+        _truncate_to_entries(ckpt, 2)
         with open(ckpt, "a") as fh:
-            fh.write('{"index": 3, "records": [{"probl')  # torn append
+            fh.write('{"index": 2, "records": [{"probl')  # torn append
         resumed = _campaign().run(problems=PROBLEMS, checkpoint=ckpt)
         assert _records_equal(resumed.records, full.records)
+        poison = FaultPlan([FaultSpec("profiler.launch", "raise")])
+        with fault_injection(poison):
+            again = _campaign().run(problems=PROBLEMS, checkpoint=ckpt)
+        assert _records_equal(again.records, full.records)
+        assert not again.quarantined
 
     def test_quarantines_are_checkpointed_too(self, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"

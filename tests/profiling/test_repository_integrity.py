@@ -14,7 +14,6 @@ from repro.profiling import (
     ProfileRepository,
     RepositoryIntegrityError,
 )
-from repro.profiling import repository
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +76,7 @@ class TestInjectedWriteFaults:
     def test_torn_write_is_caught_by_verify(self, tmp_path, result):
         repo = ProfileRepository(tmp_path)
         plan = FaultPlan([
-            FaultSpec("repository.write", "torn_file",
+            FaultSpec("io.write", "torn_file",
                       match={"file": "runs.csv"})
         ])
         with fault_injection(plan):
@@ -92,7 +91,7 @@ class TestInjectedWriteFaults:
     ):
         repo = ProfileRepository(tmp_path)
         plan = FaultPlan([
-            FaultSpec("repository.write", "corrupt_file",
+            FaultSpec("io.write", "corrupt_file",
                       match={"file": "runs.csv"})
         ])
         with fault_injection(plan):
@@ -137,26 +136,20 @@ class TestQuarantine:
             ProfileRepository(tmp_path).quarantine(CampaignKey("k", "a"))
 
 
-def _torn_save(repo, result, tag, monkeypatch):
-    """Save, crashing just before ``manifest.json`` is written."""
-    real = repository._atomic_write
-
-    def crash_at_manifest(path, text, campaign):
-        if path.name == "manifest.json":
-            raise OSError("simulated crash before the manifest landed")
-        real(path, text, campaign)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(repository, "_atomic_write", crash_at_manifest)
+def _torn_save(repo, result, tag, crash_before_rename):
+    """Save, crashing just before ``manifest.json`` lands."""
+    with crash_before_rename("manifest.json"):
         with pytest.raises(OSError, match="simulated crash"):
             repo.save(result, tag=tag)
     return CampaignKey(result.kernel, result.arch, tag=tag)
 
 
 class TestRefusals:
-    def test_torn_save_refuses_load(self, tmp_path, result, monkeypatch):
+    def test_torn_save_refuses_load(
+        self, tmp_path, result, crash_before_rename
+    ):
         repo = ProfileRepository(tmp_path)
-        key = _torn_save(repo, result, "torn", monkeypatch)
+        key = _torn_save(repo, result, "torn", crash_before_rename)
         assert repo.has(key)
         with pytest.raises(RepositoryIntegrityError, match="manifest.json"):
             repo.load(key)
@@ -170,9 +163,11 @@ class TestRefusals:
             "verify)" in findings
         assert not any("legacy" in f for f in findings)
 
-    def test_torn_save_refuses_append(self, tmp_path, result, monkeypatch):
+    def test_torn_save_refuses_append(
+        self, tmp_path, result, crash_before_rename
+    ):
         repo = ProfileRepository(tmp_path)
-        key = _torn_save(repo, result, "torn", monkeypatch)
+        key = _torn_save(repo, result, "torn", crash_before_rename)
         runs = next(tmp_path.glob(f"shards/*/{key.dirname}/runs.csv"))
         before = runs.read_bytes()
         with pytest.raises(RepositoryIntegrityError, match="manifest.json"):

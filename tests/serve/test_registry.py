@@ -107,6 +107,21 @@ class TestIntegrity:
         with pytest.raises(RegistryIntegrityError, match="corrupt"):
             registry.load(KEY)
 
+    def test_publish_crashed_before_manifest_refuses_explicit_load(
+        self, tmp_path, servable, crash_before_rename
+    ):
+        # fit.json landed, manifest.json did not: the fit cannot be
+        # checksummed, so loading it by explicit version is refused.
+        reg = FitRegistry(tmp_path)
+        with crash_before_rename("manifest.json"):
+            with pytest.raises(OSError, match="simulated crash"):
+                reg.publish(servable, version="v1")
+        assert (tmp_path / KEY.dirname / "v1" / "fit.json").exists()
+        with pytest.raises(
+            RegistryIntegrityError, match="records no fit.json digest"
+        ):
+            reg.load(KEY, version="v1")
+
     def test_corrupt_index_refused(self, registry):
         (registry.root / KEY.dirname / "index.json").write_text("{nope")
         with pytest.raises(RegistryIntegrityError, match="corrupt"):

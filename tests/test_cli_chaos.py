@@ -62,7 +62,7 @@ class TestChaosCommand:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({
             "seed": 0,
-            "specs": [{"site": "repository.write", "mode": "torn_file",
+            "specs": [{"site": "io.write", "mode": "torn_file",
                        "match": {"file": "runs.csv"}}],
         }))
         rc = main([
