@@ -29,7 +29,7 @@ tag                      written by
                           file; ``repro query ping`` output)
 ``repro-telemetry/1``    :mod:`repro.obs.telemetry` (rotating JSONL
                          snapshot journal; heartbeats + scrapes)
-``repro-flightrec/1``    :mod:`repro.obs.flightrec` (crash-triggered
+``repro-flightrec/1``    :meth:`repro.obs.log.EventLog.dump` (crash-triggered
                          ring-buffer dump)
 =======================  ==========================================
 

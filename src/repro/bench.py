@@ -15,7 +15,6 @@ Run it as::
 
     python -m repro bench [--quick] [--ops cache_trace_replay,...]
     python -m repro bench --quick --check   # regression watchdog
-    python benchmarks/perf/run.py        # same suite, standalone driver
 
 Each run is appended to the bench-history journal
 (``benchmarks/history.jsonl``, see :mod:`repro.obs.history`) with
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -486,7 +484,7 @@ def bench_serve_concurrent(quick: bool = False) -> BenchResult:
         registry.publish(servable)
 
         # Ground truth: the serial stdio server, one request per batch.
-        ref = PredictionServer(registry, watch_reload=False)
+        ref = PredictionServer(registry)
         expected: dict[str, str] = {}
         for lines in payloads:
             for line in lines:
@@ -497,7 +495,7 @@ def bench_serve_concurrent(quick: bool = False) -> BenchResult:
         # acceptance bar is that live observability costs almost
         # nothing, so the timed configuration is the observed one.
         fast_server = PredictionServer(
-            registry, watch_reload=False,
+            registry,
             telemetry_path=f"{tmp}/telemetry.jsonl",
             telemetry_interval_s=0.5,
         )
@@ -530,7 +528,7 @@ def bench_serve_concurrent(quick: bool = False) -> BenchResult:
         if not ready.wait(timeout=15):
             raise AssertionError("concurrent frontend never became ready")
 
-        base_server = PredictionServer(registry, watch_reload=False)
+        base_server = PredictionServer(registry)
         bsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         bsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         bsock.bind(("127.0.0.1", 0))
@@ -838,85 +836,3 @@ def check_regressions(
     if threshold_pct is None:
         threshold_pct = DEFAULT_THRESHOLD_PCT
     return compare_results(payload, baseline, threshold_pct=threshold_pct)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (``benchmarks/perf/run.py`` delegates here)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke sizes)")
-    parser.add_argument("--out", default=None,
-                        help="JSON report path (default: BENCH_core.json; "
-                        "with --check the report is only written when "
-                        "--out is given, so the baseline stays intact)")
-    parser.add_argument("--ops", help="comma-separated subset of: "
-                        + ",".join(BENCHMARKS))
-    parser.add_argument("--check", action="store_true",
-                        help="compare speedups against the committed "
-                        "baseline and exit non-zero on regression")
-    parser.add_argument("--baseline", default=BASELINE_PATH,
-                        help="baseline report for --check "
-                        f"(default: {BASELINE_PATH})")
-    parser.add_argument("--threshold", type=float, default=None,
-                        metavar="PCT",
-                        help="per-op speedup drop (percent) that counts "
-                        "as a regression (default: 30)")
-    parser.add_argument("--history", default=HISTORY_PATH,
-                        help="bench-history journal to append to "
-                        f"(default: {HISTORY_PATH})")
-    parser.add_argument("--no-history", action="store_true",
-                        help="skip the history append")
-    args = parser.parse_args(argv)
-    ops = (
-        [tok.strip() for tok in args.ops.split(",") if tok.strip()]
-        if args.ops else None
-    )
-    results = run_benchmarks(
-        ops=ops, quick=args.quick,
-        log=lambda msg: print(msg, file=sys.stderr),
-    )
-
-    import os
-    import tempfile
-
-    out = args.out
-    if out is None and not args.check:
-        out = BASELINE_PATH
-    if out is not None:
-        payload = write_report(results, out, quick=args.quick)
-    else:
-        # --check without --out: build the payload without touching the
-        # committed baseline file.
-        with tempfile.TemporaryDirectory() as tmp:
-            payload = write_report(
-                results, os.path.join(tmp, "bench.json"), quick=args.quick
-            )
-
-    if not args.no_history:
-        from repro.obs.history import append_history
-
-        append_history(args.history, payload)
-
-    print(format_results(results))
-    if out is not None:
-        print(f"\nreport written to {out}")
-
-    if args.check:
-        regressions = check_regressions(
-            payload, baseline_path=args.baseline,
-            threshold_pct=args.threshold,
-        )
-        if regressions:
-            print("\nREGRESSIONS detected against "
-                  f"{args.baseline}:", file=sys.stderr)
-            for reg in regressions:
-                print(f"  {reg.describe()}", file=sys.stderr)
-            return 1
-        print(f"\nno regressions against {args.baseline}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -725,10 +725,10 @@ def _cmd_chaos_serve(args) -> int:
                 )
                 expected[rid] = serial.handle_batch([line])[0]
 
-        # The flight recorder rides along under fire: the ring must
-        # capture every injected failure, and a breaker opening must
-        # dump exactly once (shutdown is via RPC, not SIGTERM, so the
-        # breaker-open artifact is the only dump expected).
+        # The flight recorder rides along under fire: the event ring
+        # must capture every injected failure, and a breaker opening
+        # must dump exactly once (shutdown is via RPC, not SIGTERM, so
+        # the breaker-open artifact is the only dump expected).
         flightrec_path = Path(tmp) / "flightrec.json"
         server = PredictionServer(
             registry,
@@ -806,11 +806,9 @@ def _cmd_chaos_serve(args) -> int:
         from repro.obs import read_flightrec
 
         fired = plan.summary()
-        ring = server.flightrec.events()
         injected_captured = sum(
-            1 for e in ring
-            if e["kind"] == "error"
-            and "injected fault" in (e["fields"].get("message") or "")
+            1 for e in server.events.find("serve.error")
+            if "injected fault" in e.fields["message"]
         )
         breaker_opens = server.metrics.counters.get(
             ("serve.breaker.open",), 0
@@ -846,7 +844,7 @@ def _cmd_chaos_serve(args) -> int:
                 f"unexpected dump (reason {dump_doc['reason']!r})"
             )
         flight = {
-            "ring_events": len(ring),
+            "ring_events": len(server.events),
             "injected_captured": injected_captured,
             "breaker_opens": int(breaker_opens),
             "dump_reason": dump_doc["reason"] if dump_doc else None,
@@ -1053,7 +1051,6 @@ def cmd_serve(args) -> int:
         request_timeout_s=args.request_timeout,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
-        watch_reload=not args.no_reload,
         telemetry_path=args.telemetry,
         telemetry_interval_s=args.telemetry_interval,
         flightrec_path=args.flight_recorder,
@@ -1607,8 +1604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--breaker-cooldown", type=int, default=8,
                    help="rejected requests between half-open breaker "
                    "probes (default: 8)")
-    p.add_argument("--no-reload", action="store_true",
-                   help="disable hot reload (registry digest watching)")
     p.add_argument("--telemetry", metavar="PATH",
                    help="append periodic metric snapshots to this "
                    "rotating repro-telemetry/1 JSONL journal")
@@ -1616,8 +1611,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="seconds between telemetry samples (default: 5)")
     p.add_argument("--flight-recorder", metavar="PATH",
-                   help="keep a bounded ring of recent events, dumped "
-                   "to PATH as repro-flightrec/1 on SIGTERM, worker "
+                   help="dump the server's ring of recent events to "
+                   "PATH as repro-flightrec/1 on SIGTERM, worker "
                    "crash, or a breaker opening")
 
     p = sub.add_parser(

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import spearman_rank_correlation
+
 __all__ = ["PartialDependence", "partial_dependence", "dependence_direction"]
 
 
@@ -52,32 +54,6 @@ class PartialDependence:
         if not self.has_band:
             raise ValueError("no confidence band computed")
         return self.upper - self.lower
-
-
-def _rank(a: np.ndarray) -> np.ndarray:
-    """Average ranks (ties broken by averaging), for Spearman correlation."""
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=float)
-    ranks[order] = np.arange(a.size, dtype=float)
-    # Average ranks over tied groups.
-    sorted_a = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + j)
-        i = j + 1
-    return ranks
-
-
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    rx, ry = _rank(x), _rank(y)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
 
 
 def partial_dependence(
@@ -153,7 +129,7 @@ def partial_dependence(
         else:
             values[i] = float(np.mean(model.predict(work)))
 
-    mono = _spearman(grid, values) if grid.size > 1 else 0.0
+    mono = spearman_rank_correlation(grid, values) if grid.size > 1 else 0.0
     name = feature_name if feature_name is not None else f"x{feature}"
     return PartialDependence(
         feature=name, grid=grid, values=values, monotonicity=mono,

@@ -20,7 +20,8 @@ Four coordinated pieces:
 * **events** (:func:`event_log`, :func:`emit`) — a structured log of
   discrete lifecycle occurrences (launch, retry, quarantine, worker
   crash, fit start/end), correlated to the span tree, with an opt-in
-  torn-tail-tolerant JSONL sink (:class:`EventLog`);
+  torn-tail-tolerant JSONL sink and an optional bound that makes it a
+  thread-safe ring (:class:`EventLog`);
 * **manifests** (:class:`Manifest`, :func:`build_manifest`) —
   provenance sidecars (seed, arch, kernel, git rev, config, span
   timings) written alongside repository artifacts.
@@ -28,12 +29,13 @@ Four coordinated pieces:
 On top of those, the *telemetry pipeline* makes a live process
 observable from outside: :class:`TelemetryExporter` samples metric
 snapshots into a rotating ``repro-telemetry/1`` JSONL journal and
-renders Prometheus-style text (:func:`render_prometheus`), while
-:class:`FlightRecorder` keeps a bounded ring of recent occurrences and
-dumps it atomically as ``repro-flightrec/1`` when the serving layer
-crashes, drains on SIGTERM, or trips a circuit breaker. Timer metrics
-are bounded too: :class:`LogHistogram` caps retained raw samples and
-keeps quantiles merge-order-independent at any scale.
+renders Prometheus-style text (:func:`render_prometheus`), while the
+serving layer's bounded :class:`EventLog` ring is dumped atomically as
+a ``repro-flightrec/1`` flight-recorder artifact
+(:func:`read_flightrec`) when the server crashes, drains on SIGTERM,
+or trips a circuit breaker. Timer metrics are bounded too:
+:class:`LogHistogram` caps retained raw samples and keeps quantiles
+merge-order-independent at any scale.
 
 Exporters turn a trace into ``repro trace`` text output
 (:func:`render_text_tree`) or Chrome-trace JSON
@@ -53,7 +55,6 @@ Quickstart::
 """
 
 from .export import render_text_tree, span_totals, to_chrome_trace
-from .flightrec import FlightRecorder, read_flightrec
 from .history import append_history, compare_results, read_history
 from .log import (
     Event,
@@ -64,6 +65,7 @@ from .log import (
     event_log,
     event_log_enabled,
     read_events,
+    read_flightrec,
 )
 from .manifest import Manifest, build_manifest, git_revision
 from .metrics import (
@@ -135,6 +137,5 @@ __all__ = [
     "read_telemetry",
     "render_prometheus",
     "snapshot_doc",
-    "FlightRecorder",
     "read_flightrec",
 ]

@@ -19,17 +19,28 @@ to :meth:`EventLog.merge`, exactly the way spans are adopted.
 The JSONL sink is a :class:`repro.io.Journal`: every line is flushed
 and fsynced, and :func:`read_events` tolerates a torn trailing line
 (discarded, not fatal), so a crash mid-write never poisons the log.
+
+A log given a ``capacity`` is a bounded, thread-safe ring that keeps
+the newest events and counts the ones it dropped. The prediction
+server keeps its ``serve.*`` events in one, and :meth:`EventLog.dump`
+writes the ring atomically as a ``repro-flightrec/1`` artifact — the
+flight recorder — when the server hits a crash trigger.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.io import Journal
+from repro.io import Journal, atomic_write
+
+from .manifest import provenance
 
 __all__ = [
     "Event",
@@ -40,10 +51,14 @@ __all__ = [
     "event_log_enabled",
     "emit",
     "read_events",
+    "read_flightrec",
 ]
 
 #: Schema tag written as the first field of every JSONL event line.
 SCHEMA = "repro-events/1"
+
+#: Schema tag of a dumped ring (:meth:`EventLog.dump`).
+FLIGHTREC_SCHEMA = "repro-flightrec/1"
 
 
 @dataclass
@@ -94,33 +109,60 @@ class EventLog:
     ``path=None`` (default) keeps events purely in memory. With a path,
     every recorded event is also appended to the file — flushed and
     fsynced, one JSON document per line — so the log survives the
-    process that wrote it.
+    process that wrote it. ``capacity`` bounds the in-memory events to
+    the newest ``capacity``; ``recorded`` counts every event ever added
+    and ``dropped`` the ones the bound pushed out. Recording, merging
+    and dumping are serialized by a lock, so threads may share a log.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None) -> None:
-        self.events: list[Event] = []
+    def __init__(
+        self,
+        path: str | os.PathLike | None = None,
+        *,
+        capacity: int | None = None,
+    ) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.events: deque[Event] = deque(maxlen=capacity)
         self.path = Path(path) if path is not None else None
         self._sink = Journal(self.path, SCHEMA) if path is not None else None
+        self.recorded = 0
+        self.dump_count = 0
         self._seq = 0
         self._pid = os.getpid()
+        # Re-entrant: a signal handler may emit while the main thread
+        # is inside emit().
+        self._lock = threading.RLock()
 
-    def emit(self, kind: str, **fields) -> Event:
-        """Record one event (timestamped now, on the span clock)."""
+    @property
+    def dropped(self) -> int:
+        return self.recorded - len(self.events)
+
+    def emit(self, kind: str, /, **fields) -> Event:
+        """Record one event (timestamped now, on the span clock).
+
+        ``kind`` is positional-only so a field may itself be named
+        ``kind`` (the server's error events carry one).
+        """
         from .spans import current_tracer
 
         tracer = current_tracer()
-        self._seq += 1
-        event = Event(
-            kind=kind,
-            t_s=time.perf_counter(),
-            seq=self._seq,
-            pid=self._pid,
-            span_id=tracer.current_span_id if tracer is not None else None,
-            fields=fields,
-        )
-        self.events.append(event)
-        if self._sink is not None:
-            self._sink.append(event.to_dict())
+        span_id = tracer.current_span_id if tracer is not None else None
+        with self._lock:
+            self._seq += 1
+            self.recorded += 1
+            event = Event(
+                kind=kind,
+                t_s=time.perf_counter(),
+                seq=self._seq,
+                pid=self._pid,
+                span_id=span_id,
+                fields=fields,
+            )
+            self.events.append(event)
+            if self._sink is not None:
+                self._sink.append(event.to_dict())
         return event
 
     # -- cross-process merge -------------------------------------------------
@@ -135,19 +177,62 @@ class EventLog:
         system-wide on the platforms this project targets (see
         :mod:`repro.obs.spans`), so cross-process timestamps compare.
         """
-        self.events.extend(events)
-        self.events.sort(key=lambda e: (e.t_s, e.pid, e.seq))
-        if self._sink is not None:
-            for event in events:
-                self._sink.append(event.to_dict())
+        with self._lock:
+            merged = sorted(
+                [*self.events, *events], key=lambda e: (e.t_s, e.pid, e.seq)
+            )
+            self.events.clear()
+            self.events.extend(merged)
+            self.recorded += len(events)
+            if self._sink is not None:
+                for event in events:
+                    self._sink.append(event.to_dict())
+
+    # -- flight-recorder dump ------------------------------------------------
+
+    def dump(self, path: str | os.PathLike, reason: str) -> Path:
+        """Write the events atomically as a ``repro-flightrec/1`` artifact.
+
+        Each dump replaces the file; ``dump_count`` in the payload says
+        how many dumps this log produced, so a post-mortem can tell a
+        lone incident from a repeating one.
+        """
+        with self._lock:
+            self.dump_count += 1
+            doc = {
+                "schema": FLIGHTREC_SCHEMA,
+                "reason": reason,
+                "dump_count": self.dump_count,
+                "capacity": self.capacity,
+                "recorded": self.recorded,
+                "dropped": self.dropped,
+                "provenance": provenance(),
+                "events": [e.to_dict() for e in self.events],
+            }
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(path, json.dumps(doc, sort_keys=True))
+        return path
+
+    def dump_once(self, path: str | os.PathLike, reason: str) -> Path | None:
+        """:meth:`dump` only if nothing was dumped yet (edge trigger).
+
+        The server's breaker-open trigger uses this: the first open
+        captures the ring, later flaps do not overwrite the state at
+        first failure. Returns ``None`` when a dump already exists.
+        """
+        with self._lock:
+            return None if self.dump_count else self.dump(path, reason)
 
     # -- queries -------------------------------------------------------------
 
     def kinds(self) -> set[str]:
-        return {e.kind for e in self.events}
+        with self._lock:
+            return {e.kind for e in self.events}
 
     def find(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
+        with self._lock:
+            return [e for e in self.events if e.kind == kind]
 
     def __len__(self) -> int:
         return len(self.events)
@@ -166,6 +251,26 @@ def read_events(path: str | os.PathLike) -> list[Event]:
     return [Event.from_dict(d) for d in Journal(path, SCHEMA).read()]
 
 
+def read_flightrec(path: str | os.PathLike) -> dict:
+    """Load and schema-validate a dumped ``repro-flightrec/1`` artifact."""
+    from repro.analysis.schemas import validate_fields
+
+    path = Path(path)
+    data = json.loads(path.read_text())
+    if data.get("schema") != FLIGHTREC_SCHEMA:
+        raise ValueError(
+            f"{path}: unknown flight-recorder schema {data.get('schema')!r} "
+            f"(expected {FLIGHTREC_SCHEMA!r})"
+        )
+    problems = validate_fields(data, FLIGHTREC_SCHEMA)
+    if problems:
+        raise ValueError(
+            f"{path}: artifact does not conform to {FLIGHTREC_SCHEMA} — "
+            + "; ".join(problems)
+        )
+    return data
+
+
 # -- module-level collection state ------------------------------------------
 
 _ACTIVE: EventLog | None = None
@@ -180,7 +285,7 @@ def event_log_enabled() -> bool:
     return _ACTIVE is not None
 
 
-def emit(kind: str, **fields) -> None:
+def emit(kind: str, /, **fields) -> None:
     """Record an event on the active log — or do nothing, cheaply."""
     log = _ACTIVE
     if log is not None:

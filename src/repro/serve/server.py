@@ -41,7 +41,7 @@ On top of the batching core sits the production hardening
   :data:`BREAKER_OPEN` and recover via deterministic half-open probes.
 * **Graceful drain** — ``shutdown`` (or SIGTERM on the TCP frontend)
   stops accepting, finishes in-flight work, answers late arrivals with
-  :data:`DRAINING`, and reports drained counts in the ``serve.drain``
+  :data:`DRAINING`, and reports drained counts in the ``serve.stop``
   event.
 * **Chaos** — the ``serve.request`` fault site (modes ``raise``/
   ``delay``) fires inside request handling so ``repro chaos --serve``
@@ -52,12 +52,14 @@ On top of the batching core sits the production hardening
   (:class:`repro.obs.telemetry.TelemetryExporter`), and the
   ``telemetry`` RPC serves the same snapshot live (JSON or a
   Prometheus-style text exposition) for scrapers and ``repro top``.
-* **Flight recorder** — ``--flight-recorder PATH`` keeps a bounded ring
-  of recent request outcomes/errors/breaker transitions
-  (:class:`repro.obs.flightrec.FlightRecorder`) and dumps it atomically
-  as ``repro-flightrec/1`` on SIGTERM, on an unhandled worker
-  exception, and (edge-triggered, exactly once) on the first
-  breaker-open transition.
+* **Event ring** — every occurrence (a request's outcome, a shed, a
+  reload, a breaker transition, the drain, a signal, a worker
+  exception, start/stop) is recorded exactly once, under one
+  ``serve.*`` kind, in a bounded :class:`repro.obs.log.EventLog`
+  (:attr:`PredictionServer.events`). ``--flight-recorder PATH`` dumps
+  that ring atomically as ``repro-flightrec/1`` on SIGTERM, on an
+  unhandled worker exception, and (edge-triggered, exactly once) on the
+  first breaker-open transition.
 
 Methods: ``predict``, ``models``, ``stats``, ``telemetry``, ``ping``,
 ``shutdown``. ``ping`` returns the ``repro-serve-health/1`` readiness
@@ -77,9 +79,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.faults.plan import should_inject
-from repro.obs import metrics as obs_metrics
-from repro.obs.flightrec import FlightRecorder
-from repro.obs.log import emit as emit_event
+from repro.obs.log import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     TelemetryExporter,
@@ -138,6 +138,9 @@ HEALTH_SCHEMA = "repro-serve-health/1"
 #: Prefix of the machine-readable line printed once the TCP frontend
 #: has bound its socket (see :func:`ready_line`).
 READY_PREFIX = "repro-serve-ready"
+
+#: Events kept in the server's ring (the flight recorder's depth).
+RING_CAPACITY = 256
 
 
 def ready_line(host: str, port: int) -> str:
@@ -207,20 +210,16 @@ class PredictionServer:
         :class:`~repro.serve.breaker.CircuitBreaker` knobs — consecutive
         integrity failures that open a model's breaker, and rejected
         requests between deterministic half-open probes.
-    watch_reload:
-        Watch the registry's content digests and hot-reload on
-        re-publish (invalidate the affected cache entries, reset the
-        model's breaker). On by default; disable for digest-stable
-        benchmarking.
     telemetry_path / telemetry_interval_s:
         Opt-in rotating ``repro-telemetry/1`` journal of periodic
         metric snapshots; the TCP frontend starts/stops the sampler
         thread. Telemetry never touches the predict path — responses
         are bit-identical with it on or off.
     flightrec_path:
-        Opt-in flight recorder: a bounded ring of recent request
-        outcomes dumped as ``repro-flightrec/1`` on SIGTERM, unhandled
-        worker exception, or the first breaker-open transition.
+        Where the event ring is dumped as ``repro-flightrec/1`` on
+        SIGTERM, unhandled worker exception, or the first breaker-open
+        transition. ``None`` (the default) never dumps; the ring is
+        kept either way.
     """
 
     def __init__(
@@ -232,7 +231,6 @@ class PredictionServer:
         request_timeout_s: float | None = None,
         breaker_threshold: int = 5,
         breaker_cooldown: int = 8,
-        watch_reload: bool = True,
         telemetry_path: str | None = None,
         telemetry_interval_s: float = 5.0,
         flightrec_path: str | None = None,
@@ -248,15 +246,16 @@ class PredictionServer:
         self.max_batch = int(max_batch)
         self.cache = FitCache(max_entries=cache_size)
         self.request_timeout_s = request_timeout_s
-        self.watch_reload = bool(watch_reload)
         self.breakers = CircuitBreaker(
             threshold=breaker_threshold,
             cooldown=breaker_cooldown,
             on_event=self._breaker_event,
         )
-        #: Server-local metrics (always on, independent of whether an
-        #: ambient ``collect()`` window is installed).
+        #: Server-local metrics and event ring: always on, and never
+        #: mirrored into an ambient ``collect()``/``event_log()`` window.
         self.metrics = MetricsRegistry()
+        self.events = EventLog(capacity=RING_CAPACITY)
+        self.flightrec_path = flightrec_path
         self.telemetry: TelemetryExporter | None = None
         if telemetry_path is not None:
             self.telemetry = TelemetryExporter(
@@ -265,9 +264,6 @@ class PredictionServer:
                 source="serve",
                 interval_s=telemetry_interval_s,
             )
-        self.flightrec: FlightRecorder | None = None
-        if flightrec_path is not None:
-            self.flightrec = FlightRecorder(flightrec_path)
         self.requests_served = 0
         self.inflight = 0
         self._stop = False
@@ -276,6 +272,9 @@ class PredictionServer:
         self._watched: dict[str, str] | None = None
         self._registry_digest: str | None = None
         self._lock = threading.RLock()
+        # Sheds are counted on reader threads, which must not wait for
+        # a predict pass to hold the server lock.
+        self._shed_lock = threading.Lock()
 
     # -- request handling ----------------------------------------------
 
@@ -318,7 +317,7 @@ class PredictionServer:
         # Admission pass: parse errors, injected faults, deadlines.
         for i, req in enumerate(requests):
             if isinstance(req, _RpcError):
-                responses[i] = self._error(None, req)
+                responses[i] = self._refuse(None, req)
                 done[i] = True
                 continue
             arrival = t_batch
@@ -339,13 +338,13 @@ class PredictionServer:
                         "injected fault at serve.request",
                     )
                     responses[i] = self._error(req.get("id"), err)
-                    self._observe(method, time.monotonic() - arrival)
+                    self._observe(method, time.monotonic() - arrival, err)
                     done[i] = True
                     continue
             try:
                 expiry = self._deadline_expiry(req, arrival)
             except _RpcError as exc:
-                responses[i] = self._error(req.get("id"), exc)
+                responses[i] = self._refuse(req.get("id"), exc, method)
                 done[i] = True
                 continue
             now = time.monotonic()
@@ -356,9 +355,7 @@ class PredictionServer:
                     f"({(now - arrival) * 1e3:.1f} ms since arrival)",
                 )
                 responses[i] = self._error(req.get("id"), err)
-                self.metrics.inc("serve.timeouts")
-                obs_metrics.inc("serve.timeouts")
-                self._observe(method, now - arrival)
+                self._observe(method, now - arrival, err)
                 done[i] = True
 
         # Group surviving predict requests by resolved model so each
@@ -372,7 +369,7 @@ class PredictionServer:
                 try:
                     addr = self._resolve_address(req.get("params") or {})
                 except _RpcError as exc:
-                    responses[i] = self._error(req.get("id"), exc)
+                    responses[i] = self._refuse(req.get("id"), exc, "predict")
                     continue
                 groups.setdefault(addr, []).append(i)
             else:
@@ -429,12 +426,11 @@ class PredictionServer:
             return arrival + self.request_timeout_s
         return None
 
-    def _dispatch_single(self, req) -> dict | None:
-        if isinstance(req, _RpcError):
-            return self._error(None, req)
+    def _dispatch_single(self, req: dict) -> dict | None:
         req_id = req.get("id")
         method = req["method"]
         t0 = time.monotonic()
+        exc = None
         try:
             if method == "ping":
                 result = self.health()
@@ -448,17 +444,15 @@ class PredictionServer:
                 self.begin_drain()
                 self._stop = True
                 result = {"ok": True, "requests_served": self.requests_served}
-            elif method == "predict":
-                # Reached only via direct dispatch (not handle_batch).
-                result = self._predict_one(req.get("params") or {})
             else:
                 raise _RpcError(
                     METHOD_NOT_FOUND, f"unknown method {method!r}"
                 )
-        except _RpcError as exc:
+        except _RpcError as err:
+            exc = err
+        self._observe(method, time.monotonic() - t0, exc)
+        if exc is not None:
             return self._error(req_id, exc)
-        finally:
-            self._observe(method, time.monotonic() - t0)
         if req_id is None:
             return None
         return {"id": req_id, "result": result}
@@ -540,34 +534,52 @@ class PredictionServer:
         t0 = time.monotonic()
         key, version = addr
         bkey = (key.dirname, version)
-
-        def fail_all(exc: _RpcError) -> None:
-            dt = time.monotonic() - t0
-            for i in members:
-                responses[i] = self._error(requests[i].get("id"), exc)
-                self._observe("predict", dt / len(members))
-
-        if not self.breakers.allow(bkey):
-            fail_all(_RpcError(
+        allowed = self.breakers.allow(bkey)
+        if allowed:
+            failed, infra_error = self._predict_group(
+                addr, members, requests, responses
+            )
+        else:
+            failed = dict.fromkeys(members, _RpcError(
                 BREAKER_OPEN,
                 f"circuit breaker open for {key.dirname}@{version}; "
                 f"fast-failing until a half-open probe succeeds",
             ))
-            return
+        # Per-request latency: the group's wall time amortized evenly —
+        # what each client would bill for, keeping p50/p95/p99 honest
+        # about the benefit of batching.
+        dt = (time.monotonic() - t0) / len(members)
+        for i in members:
+            exc = failed.get(i)
+            if exc is not None:
+                responses[i] = self._error(requests[i].get("id"), exc)
+            self._observe("predict", dt, exc)
+        if allowed:
+            if infra_error is None:
+                self.breakers.record_success(bkey)
+            else:
+                self.breakers.record_failure(bkey, infra_error)
 
+    def _predict_group(
+        self,
+        addr: tuple,
+        members: list[int],
+        requests: list,
+        responses: list,
+    ) -> tuple[dict[int, _RpcError], str | None]:
+        """Load the group's model and answer its valid members in one
+        ``predict_many`` pass. Returns the failed members' errors and
+        the infrastructure failure (if any) that feeds the breaker."""
         try:
             servable = self._load(addr)
         except _RpcError as exc:
             # Only infrastructure failures feed the breaker: a corrupt
             # artifact counts, a model that simply is not there (client
             # or retention decision) does not.
-            if exc.code == REGISTRY_CORRUPT:
-                self.breakers.record_failure(bkey, str(exc))
-            else:
-                self.breakers.record_success(bkey)
-            fail_all(exc)
-            return
+            infra = str(exc) if exc.code == REGISTRY_CORRUPT else None
+            return dict.fromkeys(members, exc), infra
 
+        failed: dict[int, _RpcError] = {}
         mats, ok = [], []
         for i in members:
             try:
@@ -578,58 +590,34 @@ class PredictionServer:
                 )
                 ok.append(i)
             except _RpcError as exc:
-                responses[i] = self._error(requests[i].get("id"), exc)
-
-        infra_failed = False
-        if ok:
-            preds = None
-            try:
-                preds = servable.predict_many(mats)
-            except ValueError as exc:
-                err = _RpcError(INVALID_PARAMS, str(exc))
-                for i in ok:
-                    responses[i] = self._error(requests[i].get("id"), err)
-            except Exception as exc:  # unexpected: infrastructure failure
-                infra_failed = True
-                err = _RpcError(INTERNAL_ERROR, f"predict failed: {exc}")
-                for i in ok:
-                    responses[i] = self._error(requests[i].get("id"), err)
-            if preds is not None:
-                for i, pred in zip(ok, preds):
-                    req_id = requests[i].get("id")
-                    responses[i] = (
-                        None
-                        if req_id is None
-                        else {
-                            "id": req_id,
-                            "result": {
-                                "predictions": [float(v) for v in pred],
-                                "version": version,
-                                "response": servable.response,
-                            },
-                        }
-                    )
-        if infra_failed:
-            self.breakers.record_failure(bkey, "predict failed")
-        else:
-            self.breakers.record_success(bkey)
-        # Per-request latency: the group's wall time amortized evenly —
-        # what each client would bill for, keeping p50/p95/p99 honest
-        # about the benefit of batching.
-        dt = time.monotonic() - t0
-        for _ in members:
-            self._observe("predict", dt / len(members))
-
-    def _predict_one(self, params: dict) -> dict:
-        addr = self._resolve_address(params)
-        servable = self._load(addr)
-        X = self._query_matrix(servable, params)
-        pred = servable.predict(X)
-        return {
-            "predictions": [float(v) for v in pred],
-            "version": addr[1],
-            "response": servable.response,
-        }
+                failed[i] = exc
+        if not ok:
+            return failed, None
+        try:
+            preds = servable.predict_many(mats)
+        except ValueError as exc:
+            err = _RpcError(INVALID_PARAMS, str(exc))
+            failed.update(dict.fromkeys(ok, err))
+            return failed, None
+        except Exception as exc:  # unexpected: infrastructure failure
+            err = _RpcError(INTERNAL_ERROR, f"predict failed: {exc}")
+            failed.update(dict.fromkeys(ok, err))
+            return failed, "predict failed"
+        for i, pred in zip(ok, preds):
+            req_id = requests[i].get("id")
+            responses[i] = (
+                None
+                if req_id is None
+                else {
+                    "id": req_id,
+                    "result": {
+                        "predictions": [float(v) for v in pred],
+                        "version": addr[1],
+                        "response": servable.response,
+                    },
+                }
+            )
+        return failed, None
 
     # -- hot reload ----------------------------------------------------
 
@@ -643,8 +631,6 @@ class PredictionServer:
         primes the watch state without reloading. Returns the changed
         campaign dirnames.
         """
-        if not self.watch_reload:
-            return []
         try:
             current = self.registry.watch_digests()
         except OSError:
@@ -659,10 +645,7 @@ class PredictionServer:
                 invalidated = self.cache.invalidate_key(dirname)
                 cleared = self.breakers.reset(dirname)
                 self.metrics.inc("serve.reloads")
-                obs_metrics.inc("serve.reloads")
-                if self.flightrec is not None:
-                    self.flightrec.record("reload", campaign=dirname)
-                emit_event(
+                self.events.emit(
                     "serve.reload",
                     campaign=dirname,
                     invalidated=invalidated,
@@ -686,12 +669,8 @@ class PredictionServer:
         if not self._draining:
             self._draining = True
             self._served_at_drain = self.requests_served
-            if self.flightrec is not None:
-                self.flightrec.record(
-                    "drain.begin", requests_served=self.requests_served
-                )
-            emit_event(
-                "serve.drain.begin", requests_served=self.requests_served
+            self.events.emit(
+                "serve.drain", requests_served=self.requests_served
             )
 
     @property
@@ -751,26 +730,28 @@ class PredictionServer:
         The one source both the rotating journal and the ``telemetry``
         RPC (and through it ``repro top``) sample, so an operator's
         scrape and the on-disk heartbeat can never disagree about
-        shape.
+        shape. Taken under the server lock, so the sampler thread never
+        reads a predict pass half-way.
         """
-        doc = snapshot_doc(self.metrics)
-        cache = dict(self.cache.stats)
-        looked_up = cache.get("hit", 0) + cache.get("miss", 0)
-        doc["breakers"] = self.breakers.summary()
-        doc["server"] = {
-            "requests_served": self.requests_served,
-            "inflight": int(self.inflight),
-            "draining": int(self._draining),
-            "drained": self.drained_count(),
-            "max_batch": self.max_batch,
-            "cache_entries": len(self.cache),
-            "cache_hits": cache.get("hit", 0),
-            "cache_misses": cache.get("miss", 0),
-            "cache_evictions": cache.get("eviction", 0),
-            "cache_hit_rate": (
-                cache.get("hit", 0) / looked_up if looked_up else 0.0
-            ),
-        }
+        with self._lock:
+            doc = snapshot_doc(self.metrics)
+            cache = dict(self.cache.stats)
+            looked_up = cache.get("hit", 0) + cache.get("miss", 0)
+            doc["breakers"] = self.breakers.summary()
+            doc["server"] = {
+                "requests_served": self.requests_served,
+                "inflight": int(self.inflight),
+                "draining": int(self._draining),
+                "drained": self.drained_count(),
+                "max_batch": self.max_batch,
+                "cache_entries": len(self.cache),
+                "cache_hits": cache.get("hit", 0),
+                "cache_misses": cache.get("miss", 0),
+                "cache_evictions": cache.get("eviction", 0),
+                "cache_hit_rate": (
+                    cache.get("hit", 0) / looked_up if looked_up else 0.0
+                ),
+            }
         return doc
 
     def _telemetry_rpc(self, params: dict) -> dict:
@@ -785,64 +766,86 @@ class PredictionServer:
             f"'format' must be 'json' or 'prometheus'; got {fmt!r}",
         )
 
-    def _observe(self, method: str, seconds: float) -> None:
+    def _observe(
+        self, method: str, seconds: float, exc: _RpcError | None = None
+    ) -> None:
+        """Account one answered request: its latency, then its event."""
         self.requests_served += 1
         seconds = max(seconds, 0.0)
         self.metrics.observe("serve.request", seconds, method=method)
-        obs_metrics.observe("serve.request", seconds, method=method)
-        if self.flightrec is not None:
-            self.flightrec.record(
-                "request", method=method, ms=round(seconds * 1e3, 3)
+        self._outcome(method, exc, ms=round(seconds * 1e3, 3))
+
+    def _outcome(
+        self, method: str | None, exc: _RpcError | None, **fields
+    ) -> None:
+        """Record a request's outcome exactly once: ``serve.request``,
+        or for a typed error ``serve.timeout``, ``serve.shed`` or
+        ``serve.error``."""
+        if exc is None:
+            self.events.emit("serve.request", method=method, **fields)
+        elif exc.code == DEADLINE_EXCEEDED:
+            self.metrics.inc("serve.timeouts")
+            self.events.emit("serve.timeout", method=method, **fields)
+        elif exc.code == OVERLOADED:
+            with self._shed_lock:
+                self.metrics.inc("serve.shed")
+            self.events.emit("serve.shed", method=method)
+        else:
+            self.events.emit(
+                "serve.error",
+                method=method,
+                code=exc.code,
+                kind=ERROR_KINDS.get(exc.code, "error"),
+                message=str(exc)[:200],
+                **fields,
             )
 
     def _breaker_event(self, kind: str, key: tuple) -> None:
         self.metrics.inc(f"serve.breaker.{kind}")
-        obs_metrics.inc(f"serve.breaker.{kind}")
-        model = "@".join(str(part) for part in key)
-        if self.flightrec is not None:
-            self.flightrec.record("breaker", state=kind, model=model)
-            if kind == "open":
-                # Edge-triggered: the first open captures the ring; a
-                # flapping breaker must not overwrite that state.
-                self.flightrec.dump_once("breaker_open")
-        if kind in ("open", "close"):
-            emit_event("serve.breaker", state=kind, model=model)
+        if kind == "shortcircuit":
+            return  # the refused request's serve.error records it
+        self.events.emit(
+            "serve.breaker", state=kind, model="@".join(map(str, key))
+        )
+        if kind == "open":
+            # Edge-triggered: the first open captures the ring; a
+            # flapping breaker must not overwrite that state.
+            self.dump_flightrec("breaker_open", once=True)
+
+    def dump_flightrec(self, reason: str, *, once: bool = False) -> None:
+        """Dump the event ring to ``flightrec_path``, if one was given."""
+        if self.flightrec_path is not None:
+            dump = self.events.dump_once if once else self.events.dump
+            dump(self.flightrec_path, reason)
 
     def set_inflight(self, n: int) -> None:
         """Frontend hook: admitted-but-unanswered request gauge."""
         self.inflight = int(n)
         self.metrics.set_gauge("serve.inflight", n)
-        obs_metrics.set_gauge("serve.inflight", n)
 
-    def count_shed(self) -> None:
-        """Frontend hook: one request refused because the queue was full."""
-        self.metrics.inc("serve.shed")
-        obs_metrics.inc("serve.shed")
-        if self.flightrec is not None:
-            self.flightrec.record("shed")
+    def _refuse(self, req_id, exc: _RpcError, method: str | None = None):
+        """Record and answer a typed error that is not timed as a request."""
+        self._outcome(method, exc)
+        return self._error(req_id, exc)
 
     def reject_line(self, line: str, code: int, message: str) -> str | None:
         """Typed refusal for a request that never reached a worker
         (shed under overload, or arriving after drain began). ``None``
-        when the line carries no id to address a reply to."""
+        when the line carries no id to address a reply to. Safe to call
+        without the server lock."""
         try:
             req = json.loads(line)
-            rid = req.get("id") if isinstance(req, dict) else None
         except json.JSONDecodeError:
-            rid = None
-        if rid is None:
-            return None
-        resp = self._error(rid, _RpcError(code, message))
-        return json.dumps(resp, sort_keys=True)
+            req = None
+        if not isinstance(req, dict):
+            req = {}
+        resp = self._refuse(
+            req.get("id"), _RpcError(code, message), req.get("method")
+        )
+        return None if resp is None else json.dumps(resp, sort_keys=True)
 
-    def _error(self, req_id, exc: _RpcError) -> dict | None:
-        if self.flightrec is not None:
-            self.flightrec.record(
-                "error",
-                code=exc.code,
-                kind=ERROR_KINDS.get(exc.code, "error"),
-                message=str(exc)[:200],
-            )
+    @staticmethod
+    def _error(req_id, exc: _RpcError) -> dict | None:
         if req_id is None:
             return None
         return {
@@ -862,7 +865,7 @@ class PredictionServer:
         write_line: Callable[[str], None],
     ) -> int:
         """Serve until EOF or a ``shutdown`` request; returns requests served."""
-        emit_event(
+        self.events.emit(
             "serve.start",
             registry=str(self.registry.root),
             max_batch=self.max_batch,
@@ -873,7 +876,7 @@ class PredictionServer:
                 break
             for out in self.handle_batch(lines):
                 write_line(out)
-        emit_event("serve.stop", requests_served=self.requests_served)
+        self.events.emit("serve.stop", requests_served=self.requests_served)
         return self.requests_served
 
 
@@ -973,7 +976,7 @@ def serve_tcp(
     requests and SIGTERM/SIGINT (when run in the main thread) trigger a
     graceful drain: stop accepting, refuse late lines with ``draining``,
     finish every queued request, then close and report drained counts in
-    the ``serve.drain`` event.
+    the ``serve.stop`` event.
 
     ``linger_s > 0`` opens a bounded batching window: a worker that has
     the lock waits up to ``linger_s`` between takes for more lines to
@@ -1025,11 +1028,10 @@ def serve_tcp(
                         [b.line for b in batch], [b.arrival for b in batch]
                     )
                 except Exception as exc:  # keep the pool alive, always
-                    if server.flightrec is not None:
-                        server.flightrec.record(
-                            "worker_exception", error=str(exc)[:200]
-                        )
-                        server.flightrec.dump("worker_exception")
+                    server.events.emit(
+                        "serve.worker_exception", error=str(exc)[:200]
+                    )
+                    server.dump_flightrec("worker_exception")
                     outs = [
                         server.reject_line(
                             b.line, INTERNAL_ERROR, f"request failed: {exc}"
@@ -1061,7 +1063,6 @@ def serve_tcp(
                     try:
                         jobs.put_nowait(job)
                     except queue_mod.Full:
-                        server.count_shed()
                         writer.send(server.reject_line(
                             line, OVERLOADED,
                             "request queue full; shed under overload "
@@ -1079,9 +1080,8 @@ def serve_tcp(
         def _on_signal(signum, frame):
             server.begin_drain()
             server._stop = True
-            if server.flightrec is not None:
-                server.flightrec.record("signal", signum=int(signum))
-                server.flightrec.dump("sigterm")
+            server.events.emit("serve.signal", signum=int(signum))
+            server.dump_flightrec("sigterm")
 
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
@@ -1101,7 +1101,7 @@ def serve_tcp(
         bound = sock.getsockname()
         if announce:
             print(ready_line(bound[0], bound[1]), flush=True)
-        emit_event(
+        server.events.emit(
             "serve.start",
             registry=str(server.registry.root),
             max_batch=server.max_batch,
@@ -1138,12 +1138,6 @@ def serve_tcp(
         for t in worker_threads:
             if t.is_alive():
                 t.join(timeout=5.0)
-        emit_event(
-            "serve.drain",
-            drained=server.drained_count(),
-            requests_served=server.requests_served,
-            shed=server.metrics.counters.get(("serve.shed",), 0),
-        )
         for writer in writers:
             writer.close()
         for sig, handler in previous_handlers.items():
@@ -1155,5 +1149,10 @@ def serve_tcp(
             # Final flush after the drain so the journal's tail carries
             # the complete request/shed/drain accounting.
             server.telemetry.stop()
-        emit_event("serve.stop", requests_served=server.requests_served)
+        server.events.emit(
+            "serve.stop",
+            requests_served=server.requests_served,
+            drained=server.drained_count(),
+            shed=server.metrics.counters.get(("serve.shed",), 0),
+        )
     return server.requests_served

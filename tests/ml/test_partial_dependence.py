@@ -130,3 +130,48 @@ class TestConfidenceBand:
         rf, X = self.fitted()
         with pytest.raises(ValueError):
             partial_dependence(rf, X, 0, confidence=1.5)
+
+
+def _oracle_rank(a):
+    """Partial dependence's former private ranker (0-based average
+    ranks), kept as the oracle for the shared Spearman metric."""
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(a.size, dtype=float)
+    ranks[order] = np.arange(a.size, dtype=float)
+    sorted_a = a[order]
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and sorted_a[j + 1] == sorted_a[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = 0.5 * (i + j)
+        i = j + 1
+    return ranks
+
+
+def _oracle_spearman(x, y):
+    rx, ry = _oracle_rank(x), _oracle_rank(y)
+    sx, sy = rx.std(), ry.std()
+    if sx == 0.0 or sy == 0.0:
+        return 0.0
+    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
+
+
+class TestMonotonicityMetric:
+    def test_shared_spearman_matches_former_formula_bit_for_bit(self):
+        from repro.ml.metrics import spearman_rank_correlation
+
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(2, 40))
+            # Few distinct values, so ties (and all-tied columns) occur.
+            x = rng.integers(0, 6, size=n).astype(float)
+            y = rng.normal(size=n).round(int(rng.integers(0, 3)))
+            assert spearman_rank_correlation(x, y) == _oracle_spearman(x, y)
+
+    def test_monotonicity_uses_the_shared_metric(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(60, 2))
+        pd = partial_dependence(LinearModel([-1.0, 0.5]), X, 0)
+        assert pd.monotonicity == _oracle_spearman(pd.grid, pd.values)

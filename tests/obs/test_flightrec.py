@@ -1,73 +1,80 @@
-"""Tests for the flight recorder (repro.obs.flightrec)."""
+"""Tests for the flight recorder: a bounded EventLog ring and its
+``repro-flightrec/1`` dump (repro.obs.log)."""
 
 import json
 
 import pytest
 
-from repro.obs import FlightRecorder, read_flightrec
-from repro.obs.flightrec import SCHEMA
+from repro.obs import EventLog, read_flightrec
+from repro.obs.log import FLIGHTREC_SCHEMA, SCHEMA
 
 
 class TestRing:
-    def test_bounded_capacity_keeps_newest(self, tmp_path):
-        rec = FlightRecorder(tmp_path / "f.json", capacity=4)
+    def test_bounded_capacity_keeps_newest(self):
+        log = EventLog(capacity=4)
         for i in range(10):
-            rec.record("request", i=i)
-        events = rec.events()
-        assert len(events) == 4
-        assert [e["fields"]["i"] for e in events] == [6, 7, 8, 9]
+            log.emit("serve.request", i=i)
+        assert len(log) == 4
+        assert [e.fields["i"] for e in log.events] == [6, 7, 8, 9]
 
     def test_sequence_and_drop_accounting(self, tmp_path):
-        rec = FlightRecorder(tmp_path / "f.json", capacity=3)
+        log = EventLog(capacity=3)
         for i in range(5):
-            rec.record("x")
-        doc = json.loads(rec.dump("test").read_text())
+            log.emit("x")
+        assert (log.recorded, log.dropped) == (5, 2)
+        doc = json.loads(log.dump(tmp_path / "f.json", "test").read_text())
+        assert doc["capacity"] == 3
         assert doc["recorded"] == 5
         assert doc["dropped"] == 2
         assert [e["seq"] for e in doc["events"]] == [3, 4, 5]
 
-    def test_field_named_kind_is_allowed(self, tmp_path):
-        # The server's error records carry a 'kind' field; it must not
-        # collide with the record kind itself.
-        rec = FlightRecorder(tmp_path / "f.json")
-        rec.record("error", kind="internal_error", code=-32603)
-        [event] = rec.events()
-        assert event["kind"] == "error"
-        assert event["fields"]["kind"] == "internal_error"
+    def test_field_named_kind_is_allowed(self):
+        # The server's error events carry a 'kind' field; it must not
+        # collide with the event kind itself.
+        log = EventLog(capacity=8)
+        log.emit("serve.error", kind="internal_error", code=-32603)
+        [event] = log.events
+        assert event.kind == "serve.error"
+        assert event.fields["kind"] == "internal_error"
 
-    def test_events_returns_a_copy(self, tmp_path):
-        rec = FlightRecorder(tmp_path / "f.json")
-        rec.record("a")
-        snapshot = rec.events()
-        rec.record("b")
-        assert len(snapshot) == 1
-        assert len(rec.events()) == 2
+    def test_events_returns_a_copy(self):
+        log = EventLog(capacity=8)
+        log.emit("a")
+        found = log.find("a")
+        log.emit("a")
+        assert len(found) == 1
+        assert len(log.find("a")) == 2
 
-    def test_rejects_bad_capacity(self, tmp_path):
+    def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            FlightRecorder(tmp_path / "f.json", capacity=0)
+            EventLog(capacity=0)
 
 
 class TestDump:
     def test_dump_writes_a_valid_artifact(self, tmp_path):
         path = tmp_path / "flightrec.json"
-        rec = FlightRecorder(path)
-        rec.record("breaker", state="open", model="gemm@volta")
-        assert rec.dump("sigterm") == path
+        log = EventLog(capacity=8)
+        log.emit("serve.breaker", state="open", model="gemm@volta")
+        assert log.dump(path, "sigterm") == path
         doc = read_flightrec(path)
-        assert doc["schema"] == SCHEMA
+        assert doc["schema"] == FLIGHTREC_SCHEMA
         assert doc["reason"] == "sigterm"
         assert doc["dump_count"] == 1
-        assert doc["events"][0]["fields"]["model"] == "gemm@volta"
+        [event] = doc["events"]
+        # Ring entries are repro-events/1 event dicts.
+        assert event["schema"] == SCHEMA
+        assert event["kind"] == "serve.breaker"
+        assert event["fields"]["model"] == "gemm@volta"
+        assert {"seq", "t_s"} <= set(event)
         assert "git_rev" in doc["provenance"]
 
     def test_dump_replaces_and_counts(self, tmp_path):
         path = tmp_path / "f.json"
-        rec = FlightRecorder(path)
-        rec.record("a")
-        rec.dump("worker_exception")
-        rec.record("b")
-        rec.dump("sigterm")
+        log = EventLog(capacity=8)
+        log.emit("a")
+        log.dump(path, "worker_exception")
+        log.emit("b")
+        log.dump(path, "sigterm")
         doc = read_flightrec(path)
         assert doc["reason"] == "sigterm"
         assert doc["dump_count"] == 2
@@ -75,12 +82,12 @@ class TestDump:
 
     def test_dump_once_is_edge_triggered(self, tmp_path):
         path = tmp_path / "f.json"
-        rec = FlightRecorder(path)
-        rec.record("breaker", state="open")
-        assert rec.dump_once("breaker_open") == path
-        rec.record("breaker", state="open")
+        log = EventLog(capacity=8)
+        log.emit("serve.breaker", state="open")
+        assert log.dump_once(path, "breaker_open") == path
+        log.emit("serve.breaker", state="open")
         # A flapping breaker must not overwrite first-failure state.
-        assert rec.dump_once("breaker_open") is None
+        assert log.dump_once(path, "breaker_open") is None
         doc = read_flightrec(path)
         assert doc["dump_count"] == 1
         assert len(doc["events"]) == 1
@@ -89,19 +96,19 @@ class TestDump:
         # SIGTERM after a breaker-open dump must still capture the
         # (newer) ring: dump() is unconditional.
         path = tmp_path / "f.json"
-        rec = FlightRecorder(path)
-        rec.record("breaker", state="open")
-        rec.dump_once("breaker_open")
-        rec.record("signal", signum=15)
-        rec.dump("sigterm")
+        log = EventLog(capacity=8)
+        log.emit("serve.breaker", state="open")
+        log.dump_once(path, "breaker_open")
+        log.emit("serve.signal", signum=15)
+        log.dump(path, "sigterm")
         doc = read_flightrec(path)
         assert doc["reason"] == "sigterm"
         assert doc["dump_count"] == 2
 
     def test_no_tmp_file_left_behind(self, tmp_path):
-        rec = FlightRecorder(tmp_path / "f.json")
-        rec.record("a")
-        rec.dump("test")
+        log = EventLog(capacity=8)
+        log.emit("a")
+        log.dump(tmp_path / "f.json", "test")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
 
     def test_read_refuses_foreign_schema(self, tmp_path):
@@ -112,42 +119,32 @@ class TestDump:
 
     def test_read_refuses_missing_fields(self, tmp_path):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"schema": SCHEMA, "reason": "x"}))
+        path.write_text(json.dumps({"schema": FLIGHTREC_SCHEMA, "reason": "x"}))
         with pytest.raises(ValueError, match="does not conform"):
             read_flightrec(path)
 
 
 class TestServerIntegration:
     def test_breaker_open_dumps_exactly_once(self, tmp_path):
-        # Unit-level mirror of the chaos --serve assertion: wire a
-        # recorder into a PredictionServer, corrupt the stored fit so
-        # the breaker opens, and check the one edge-triggered dump.
-        import numpy as np
-
-        from repro.ml.forest import RandomForestRegressor
-        from repro.serve import FitRegistry, PredictionServer, ServableFit
-
-        features = ["a", "b"]
-        rng = np.random.default_rng(0)
-        X = rng.uniform(size=(40, 2))
-        forest = RandomForestRegressor(n_trees=4, rng=1).fit(
-            X, X @ np.array([1.0, 2.0]), feature_names=features
-        )
+        # Unit-level mirror of the chaos --serve assertion: corrupt the
+        # stored fit so the server's breaker opens, and check the one
+        # edge-triggered dump of its event ring.
         from repro.faults import FaultPlan, FaultSpec, fault_injection
+        from repro.serve import FitRegistry, PredictionServer
+
+        from ..serve.conftest import FEATURES, make_servable
 
         registry = FitRegistry(tmp_path / "models")
-        registry.publish(ServableFit(
-            kernel="k", arch="a", tag=None, forest=forest,
-            feature_names=features, source={},
-        ))
+        registry.publish(make_servable(kernel="k", arch="a", trees=4))
         path = tmp_path / "flightrec.json"
         server = PredictionServer(
             registry, breaker_threshold=2, breaker_cooldown=2,
-            watch_reload=False, flightrec_path=str(path),
+            flightrec_path=str(path),
         )
         line = json.dumps({
             "id": "r1", "method": "predict",
-            "params": {"kernel": "k", "arch": "a", "X": [[1.0, 2.0]]},
+            "params": {"kernel": "k", "arch": "a",
+                       "X": [[1.0] * len(FEATURES)]},
         })
         plan = FaultPlan(
             [FaultSpec("registry.load", "corrupt", payload={"times": 4})],
@@ -160,4 +157,4 @@ class TestServerIntegration:
         assert doc["reason"] == "breaker_open"
         assert doc["dump_count"] == 1
         kinds = {e["kind"] for e in doc["events"]}
-        assert "error" in kinds
+        assert "serve.error" in kinds

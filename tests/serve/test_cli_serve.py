@@ -74,7 +74,6 @@ class TestHardenedFlags:
         assert args.request_timeout is None
         assert args.breaker_threshold == 5
         assert args.breaker_cooldown == 8
-        assert args.no_reload is False
 
     def test_query_defaults(self):
         args = build_parser().parse_args(["query", "ping"])

@@ -176,7 +176,7 @@ class TestBreakerUnderCorruption:
         reg = FitRegistry(tmp_path / "models")
         reg.publish(make_servable())
         return PredictionServer(
-            reg, breaker_threshold=2, breaker_cooldown=2, watch_reload=False
+            reg, breaker_threshold=2, breaker_cooldown=2
         )
 
     def test_open_then_probe_then_recover(self, tmp_path):
@@ -289,15 +289,6 @@ class TestHotReload:
         server.handle_batch([_predict_line("r3")])
         assert server.check_reload() == []
         assert server.metrics.counters.get(("serve.reloads",), 0) == 0
-
-    def test_watch_reload_false_disables_watching(self, tmp_path):
-        reg = FitRegistry(tmp_path / "models")
-        reg.publish(make_servable(seed=0))
-        server = PredictionServer(reg, watch_reload=False)
-        server.handle_batch([_predict_line("r4")])
-        reg.publish(make_servable(seed=1))
-        assert server.check_reload() == []
-        assert len(server.cache) == 1  # warm entry untouched
 
     def test_reload_resets_the_campaign_breaker(self, tmp_path):
         reg = FitRegistry(tmp_path / "models")

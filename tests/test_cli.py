@@ -268,3 +268,39 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "# Bottleneck report: vectorAdd on GTX580" in out
         assert "| rank | predictor |" in out
+
+
+IDENTITY_COMMANDS = {
+    "analyze": [
+        "analyze", "reduce2", "--sizes",
+        ",".join(str(1 << p) for p in range(14, 20)),
+        "--trees", "10", "--repeats", "1",
+    ],
+    "predict": [
+        "predict", "vectorAdd", "--sizes", "100000,400000",
+        "--trees", "10", "--replicates", "2",
+    ],
+    "transfer": [
+        "transfer", "transpose-naive", "--replicates", "1", "--trees", "10",
+    ],
+}
+
+
+class TestOutputIdentity:
+    """The JSON result is a function of the inputs alone: the worker
+    count and tracing change no byte of it."""
+
+    @staticmethod
+    def _json_out(capsys, argv):
+        assert main(argv + ["--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(IDENTITY_COMMANDS))
+    def test_jobs_and_trace_leave_output_identical(self, capsys, command):
+        argv = IDENTITY_COMMANDS[command]
+        serial = self._json_out(capsys, argv + ["--jobs", "1"])
+        assert self._json_out(capsys, argv + ["--jobs", "4"]) == serial
+        traced = json.loads(self._json_out(capsys, argv + ["--trace"]))
+        assert set(traced) - set(json.loads(serial)) == {"trace", "metrics"}
+        del traced["trace"], traced["metrics"]
+        assert json.dumps(traced, indent=2) + "\n" == serial

@@ -21,7 +21,6 @@ from repro.kernels import VectorAddKernel
 from repro.ml import fit_from_repo
 from repro.obs import (
     EventLog,
-    FlightRecorder,
     TelemetryExporter,
     append_history,
     read_events,
@@ -113,27 +112,28 @@ class _Registry:
 
 
 class _FlightRecorder:
-    """A first dump, then a second one replacing it."""
+    """A first dump of an event ring, then a second one replacing it."""
 
     file = "flightrec.json"
     errors = (ValueError,)
 
     def setup(self, root, campaigns):
-        root.mkdir()
-        recorder = FlightRecorder(root / self.file)
-        recorder.record("request", ok=True)
-        recorder.dump("first")
-        return recorder
+        ring = EventLog(capacity=8)
+        ring.emit("serve.request", method="predict")
+        ring.dump(root / self.file, "first")
+        return ring, root / self.file
 
-    def write(self, recorder):
-        recorder.record("breaker", state="open")
-        recorder.dump("second")
+    def write(self, ctx):
+        ring, path = ctx
+        ring.emit("serve.breaker", state="open")
+        ring.dump(path, "second")
 
-    def read(self, recorder):
-        doc = read_flightrec(recorder.path)
+    def read(self, ctx):
+        _, path = ctx
+        doc = read_flightrec(path)
         return doc["reason"], [e["seq"] for e in doc["events"]]
 
-    def fallbacks(self, recorder):
+    def fallbacks(self, ctx):
         return []
 
 

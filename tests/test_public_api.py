@@ -86,7 +86,6 @@ FAULTS_EXPORTS = [
 OBS_EXPORTS = [
     "Event",
     "EventLog",
-    "FlightRecorder",
     "LogHistogram",
     "Manifest",
     "MetricsRegistry",
