@@ -61,8 +61,7 @@ def lint_kernel_launches(
 ) -> list[Finding]:
     """Lint every registered kernel's workload models and the counter
     vectors they produce, on each GPU architecture."""
-    from repro.gpusim.noise import Perturbation
-    from repro.gpusim.simulator import GPUSimulator, finalize_counters, sum_raw
+    from repro.gpusim.simulator import GPUSimulator, finalize_counters
     from repro.kernels import kernel_registry
 
     findings: list[Finding] = []
@@ -79,8 +78,7 @@ def lint_kernel_launches(
                     _tag(run_rules("workload", wl, arch, select=select),
                          kernel=name, arch=arch.name)
                 )
-            profiles = [sim.launch(wl, Perturbation.none()) for wl in workloads]
-            values, _ = finalize_counters(arch, sum_raw(profiles))
+            values, _ = finalize_counters(arch, sim.run_totals(workloads))
             findings.extend(
                 _tag(run_rules("counters", dict(values), arch.family,
                                select=select),

@@ -43,7 +43,7 @@ from .simulator import (
     sum_raw,
 )
 from .timing import LaunchTiming, TimingModel
-from .workload import GlobalAccessPattern, KernelWorkload, SharedAccessPattern
+from .workload import GlobalAccessPattern, KernelWorkload, LaunchBatch, SharedAccessPattern
 
 __all__ = [
     "GTX480",
@@ -92,5 +92,6 @@ __all__ = [
     "TimingModel",
     "GlobalAccessPattern",
     "KernelWorkload",
+    "LaunchBatch",
     "SharedAccessPattern",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import GPUArchitecture
-from .simulator import GPUSimulator, sum_raw
+from .simulator import GPUSimulator
 
 __all__ = ["RooflinePoint", "roofline_point", "attainable_gflops", "roofline_chart"]
 
@@ -65,10 +65,8 @@ def roofline_point(
     one flop per other arithmetic warp instruction; DRAM bytes from the
     simulated memory traffic.
     """
-    sim = GPUSimulator(arch)
     workloads = kernel.workloads(problem, arch)
-    profiles = [sim.launch(wl) for wl in workloads]
-    total = sum_raw(profiles)
+    total = GPUSimulator(arch).run_totals(workloads)
 
     flops = 0.0
     for wl in workloads:

@@ -18,22 +18,23 @@ hardware.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.faults.errors import InjectedFault
-from repro.faults.plan import should_inject
+from repro.faults.plan import active_plan, should_inject
 from repro.obs import span
 
 from .arch import GPUArchitecture
 from .banks import replay_count
 from .counters import CounterSet
-from .memory import MemoryAccessResult, resolve_access
+from .memory import MemoryAccessResult, resolve_access, resolve_access_batch
 from .noise import Perturbation
 from .occupancy import OccupancyResult, occupancy
-from .timing import LaunchTiming, TimingModel
-from .workload import KernelWorkload
+from .timing import LaunchTiming, TimingModel, left_sum
+from .workload import KernelWorkload, LaunchBatch
 
 __all__ = ["LaunchProfile", "GPUSimulator", "aggregate_launches", "sum_raw", "finalize_counters", "average_power_w"]
 
@@ -112,57 +113,97 @@ class GPUSimulator:
             for a in accesses
         ]
 
-        shared_loads = sum(s.requests for s in wl.loads("shared"))
-        shared_stores = sum(s.requests for s in wl.stores("shared"))
-        shared_load_replays = pert.conflict_factor * sum(
-            replay_count(s.requests, s.conflict_degree) for s in wl.loads("shared")
+        timing, raw = self._accumulate(
+            pert, occ, mem,
+            replays=[m.replays for m in mem],
+            shared=[(s.kind, s.requests, s.conflict_degree)
+                    for s in wl.shared_accesses],
+            grid_blocks=wl.grid_blocks,
+            warps_per_block=wl.warps_per_block,
+            inst_executed=wl.executed_instructions,
+            branches=wl.branches,
+            divergent_branches=wl.divergent_branches,
+            ldst_instructions=wl.ldst_instructions,
+            avg_active_threads=wl.avg_active_threads,
+            memory_ilp=wl.memory_ilp,
+            critical_path_cycles=wl.critical_path_cycles,
+            evaluate=self._timing.evaluate,
         )
-        shared_store_replays = pert.conflict_factor * sum(
-            replay_count(s.requests, s.conflict_degree) for s in wl.stores("shared")
+        return LaunchProfile(
+            workload=wl, occupancy=occ, timing=timing, memory=mem,
+            raw={key: float(value) for key, value in raw.items()},
         )
+
+    def _accumulate(
+        self, pert, occ, mem, *, replays, shared, grid_blocks, warps_per_block,
+        inst_executed, branches, divergent_branches, ldst_instructions,
+        avg_active_threads, memory_ilp, critical_path_cycles, evaluate,
+    ) -> tuple[LaunchTiming, dict]:
+        """Issue counts, timing and the raw accumulators of one launch,
+        or of every launch of a batch at once.
+
+        Shared by :meth:`_launch` (scalars, ``evaluate`` is
+        :meth:`TimingModel.evaluate`) and :meth:`_batch_totals` (arrays
+        over the launch axis, :meth:`TimingModel.evaluate_batch`), so
+        both paths define the raw counters in one place. ``shared``
+        holds ``(kind, requests, conflict_degree)`` per shared-memory
+        pattern, ``replays`` each global pattern's replays; sums over
+        patterns run left to right (:func:`left_sum`).
+        """
+        arch = self.arch
+
+        def shared_traffic(kind):
+            patterns = [(r, degree) for k, r, degree in shared if k == kind]
+            replayed = pert.conflict_factor * left_sum(
+                replay_count(r, degree) for r, degree in patterns
+            )
+            return left_sum(r for r, _ in patterns), replayed
+
+        shared_loads, shared_load_replays = shared_traffic("load")
+        shared_stores, shared_store_replays = shared_traffic("store")
         shared_replays = shared_load_replays + shared_store_replays
         shared_transactions = shared_loads + shared_stores + shared_replays
 
-        global_replays = sum(m.replays for m in mem)
-        inst_executed = wl.executed_instructions
+        global_replays = left_sum(replays)
         inst_issued = inst_executed + shared_replays + global_replays
 
-        dram_bytes = sum(m.dram_bytes for m in mem)
-        issued_per_warp = inst_issued / wl.total_warps
+        dram_bytes = left_sum(m.dram_bytes for m in mem)
+        total_warps = grid_blocks * warps_per_block
 
-        timing = self._timing.evaluate(
-            grid_blocks=wl.grid_blocks,
-            warps_per_block=wl.warps_per_block,
+        timing = evaluate(
+            grid_blocks=grid_blocks,
+            warps_per_block=warps_per_block,
             occ=occ,
-            issued_per_warp=issued_per_warp,
+            issued_per_warp=inst_issued / total_warps,
             mem=mem,
-            total_warps=wl.total_warps,
+            total_warps=total_warps,
             dram_bytes=dram_bytes,
             shared_transactions=shared_transactions,
-            memory_ilp=wl.memory_ilp,
-            critical_path_cycles=wl.critical_path_cycles,
+            memory_ilp=memory_ilp,
+            critical_path_cycles=critical_path_cycles,
             sched_efficiency=pert.sched_efficiency,
             dram_efficiency=pert.dram_efficiency,
         )
 
         loads = [m for m in mem if m.kind == "load"]
         stores = [m for m in mem if m.kind == "store"]
+        line = arch.l2_line_bytes
 
         raw = {
             # events
-            "shared_load": float(shared_loads),
-            "shared_store": float(shared_stores),
-            "gld_request": float(sum(m.requests for m in loads)),
-            "gst_request": float(sum(m.requests for m in stores)),
-            "global_store_transaction": float(sum(m.transactions for m in stores)),
-            "l1_global_load_hit": float(sum(m.l1_hits for m in loads)),
-            "l1_global_load_miss": float(sum(m.l1_misses for m in loads)),
-            "l2_read_transactions": float(sum(m.l2_transactions for m in loads)),
-            "l2_write_transactions": float(sum(m.l2_transactions for m in stores)),
-            "inst_executed": float(inst_executed),
-            "inst_issued": float(inst_issued),
-            "branch": float(wl.branches),
-            "divergent_branch": float(wl.divergent_branches),
+            "shared_load": shared_loads,
+            "shared_store": shared_stores,
+            "gld_request": left_sum(m.requests for m in loads),
+            "gst_request": left_sum(m.requests for m in stores),
+            "global_store_transaction": left_sum(m.transactions for m in stores),
+            "l1_global_load_hit": left_sum(m.l1_hits for m in loads),
+            "l1_global_load_miss": left_sum(m.l1_misses for m in loads),
+            "l2_read_transactions": left_sum(m.l2_transactions for m in loads),
+            "l2_write_transactions": left_sum(m.l2_transactions for m in stores),
+            "inst_executed": inst_executed,
+            "inst_issued": inst_issued,
+            "branch": branches,
+            "divergent_branch": divergent_branches,
             "active_cycles": timing.cycles,
             "active_warps": timing.avg_resident_warps * timing.cycles,
             # replay decomposition
@@ -171,25 +212,21 @@ class GPUSimulator:
             "shared_store_replays": shared_store_replays,
             "global_replays": global_replays,
             # byte flows for throughput metrics
-            "gld_requested_bytes": float(sum(m.requested_bytes for m in loads)),
-            "gst_requested_bytes": float(sum(m.requested_bytes for m in stores)),
-            "gld_transaction_bytes": float(
-                sum(m.transactions * m.transaction_bytes for m in loads)
+            "gld_requested_bytes": left_sum(m.requested_bytes for m in loads),
+            "gst_requested_bytes": left_sum(m.requested_bytes for m in stores),
+            "gld_transaction_bytes": left_sum(
+                m.transactions * m.transaction_bytes for m in loads
             ),
-            "gst_transaction_bytes": float(
-                sum(m.transactions * m.transaction_bytes for m in stores)
+            "gst_transaction_bytes": left_sum(
+                m.transactions * m.transaction_bytes for m in stores
             ),
-            "l2_read_bytes": float(
-                sum(m.l2_transactions * self.arch.l2_line_bytes for m in loads)
-            ),
-            "l2_write_bytes": float(
-                sum(m.l2_transactions * self.arch.l2_line_bytes for m in stores)
-            ),
-            "dram_read_bytes": float(sum(m.dram_bytes for m in loads)),
-            "dram_write_bytes": float(sum(m.dram_bytes for m in stores)),
+            "l2_read_bytes": left_sum(m.l2_transactions * line for m in loads),
+            "l2_write_bytes": left_sum(m.l2_transactions * line for m in stores),
+            "dram_read_bytes": left_sum(m.dram_bytes for m in loads),
+            "dram_write_bytes": left_sum(m.dram_bytes for m in stores),
             # weighted utilization inputs
-            "active_thread_instructions": wl.avg_active_threads * inst_executed,
-            "ldst_instructions": float(wl.ldst_instructions),
+            "active_thread_instructions": avg_active_threads * inst_executed,
+            "ldst_instructions": ldst_instructions,
             "shared_transactions": shared_transactions,
             "sm_cycles_weighted": timing.cycles * timing.n_active_sms,
             "time_s": timing.time_s,
@@ -199,14 +236,81 @@ class GPUSimulator:
             "dynamic_energy_j": 1e-9 * (
                 inst_issued * arch.energy_per_instruction_nj
                 + dram_bytes * arch.energy_per_dram_byte_nj
-                + sum(m.l2_transactions for m in mem)
+                + left_sum(m.l2_transactions for m in mem)
                 * arch.energy_per_l2_transaction_nj
                 + shared_transactions * arch.energy_per_shared_transaction_nj
             ),
         }
-        return LaunchProfile(
-            workload=wl, occupancy=occ, timing=timing, memory=mem, raw=raw
+        return timing, raw
+
+    # -- summed run totals -----------------------------------------------------
+
+    def run_totals(
+        self,
+        workloads: Sequence[KernelWorkload],
+        perturbation: Perturbation | None = None,
+    ) -> dict[str, float]:
+        """The summed raw accumulators of a run (:func:`sum_raw` of
+        every launch's profile).
+
+        A :class:`~repro.gpusim.workload.LaunchBatch` is evaluated in
+        one pass of numpy arrays over its launch axis, bit-identical to
+        the per-launch loop, and recorded as one ``gpusim.launch_batch``
+        span. Any other sequence goes through :meth:`launch` and
+        :func:`sum_raw`; so does a batch while a fault plan is installed,
+        which keeps the per-launch ``gpusim.launch`` fault site intact.
+        """
+        if isinstance(workloads, LaunchBatch) and active_plan() is None:
+            if not len(workloads):
+                raise ValueError("no launches to aggregate")
+            pert = perturbation if perturbation is not None else Perturbation.none()
+            with span("gpusim.launch_batch", launches=len(workloads)):
+                return self._batch_totals(workloads, pert)
+        return sum_raw([self.launch(wl, perturbation) for wl in workloads])
+
+    def _batch_totals(self, batch: LaunchBatch, pert: Perturbation) -> dict[str, float]:
+        """:meth:`_launch`'s raw accumulators for every launch of a batch
+        as arrays, then :func:`sum_raw`'s sum over launches as a running
+        ``np.add.accumulate`` (never numpy's pairwise ``sum``)."""
+        arch = self.arch
+        counts = batch.counts
+        occ = occupancy(
+            arch, batch.threads_per_block, batch.regs_per_thread,
+            batch.shared_mem_per_block,
         )
+        mem = [
+            resolve_access_batch(a, requests, arch, cache_factor=pert.cache_factor)
+            for a, requests in zip(batch.global_accesses, counts["global"])
+        ]
+        ldst = counts["global"].sum(axis=0) + counts["shared"].sum(axis=0)
+        _, raw = self._accumulate(
+            pert, occ, mem,
+            replays=[np.maximum(m.transactions - m.requests, 0.0) for m in mem],
+            shared=[(s.kind, requests, s.conflict_degree)
+                    for s, requests in zip(batch.shared_accesses, counts["shared"])],
+            grid_blocks=batch.grid_blocks,
+            warps_per_block=batch.warps_per_block,
+            inst_executed=(
+                counts["arithmetic_instructions"]
+                + counts["branches"]
+                + counts["other_instructions"]
+                + ldst
+            ),
+            branches=counts["branches"],
+            divergent_branches=counts["divergent_branches"],
+            ldst_instructions=ldst,
+            avg_active_threads=batch.avg_active_threads,
+            memory_ilp=batch.memory_ilp,
+            critical_path_cycles=batch.critical_path_cycles,
+            evaluate=self._timing.evaluate_batch,
+        )
+        # One column per key under a zero row: the running sum's last
+        # row is sum_raw's `0.0 + launch 0 + launch 1 + ...`.
+        table = np.zeros((len(batch) + 1, len(raw)))
+        for j, value in enumerate(raw.values()):
+            table[1:, j] = value
+        totals = np.add.accumulate(table, axis=0)[-1]
+        return {key: float(total) for key, total in zip(raw, totals)}
 
     # -- full application run --------------------------------------------------
 

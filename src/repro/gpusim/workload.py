@@ -10,16 +10,24 @@ Counts are *device-wide totals at warp granularity*, matching how the
 profiler events of Table 1 increment ("increments per warp on a
 multiprocessor"): e.g. ``gld_request`` is the number of executed
 warp-level global-load instructions summed over all warps.
+
+A :class:`LaunchBatch` stands for many launches of one block template
+that differ only in grid size (e.g. Needleman–Wunsch's per-diagonal
+launches): it holds the per-block counts once plus a vector of grid
+sizes, and materialises each launch's :class:`KernelWorkload` on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["GlobalAccessPattern", "SharedAccessPattern", "KernelWorkload"]
+__all__ = ["GlobalAccessPattern", "SharedAccessPattern", "KernelWorkload", "LaunchBatch"]
 
 
 @dataclass
@@ -237,3 +245,124 @@ class KernelWorkload:
     def stores(self, space: str) -> list:
         acc = self.global_accesses if space == "global" else self.shared_accesses
         return [a for a in acc if a.kind == "store"]
+
+
+#: Per-block instruction counts a :class:`LaunchBatch` scales by the grid.
+_INSTRUCTION_COUNTS = (
+    "arithmetic_instructions",
+    "fma_instructions",
+    "branches",
+    "divergent_branches",
+    "other_instructions",
+)
+
+
+def _scaled(per_block: float, grid_blocks: np.ndarray, floor: int) -> np.ndarray:
+    """``per_block * grid_blocks`` rounded half to even (Python's
+    ``round``), at least ``floor``: the one rounding rule of a batch."""
+    scaled = np.rint(np.multiply(per_block, grid_blocks, dtype=np.float64))
+    return np.maximum(floor, scaled).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False, repr=False, kw_only=True)
+class LaunchBatch(Sequence[KernelWorkload]):
+    """Launches of one block template that differ only in grid size.
+
+    The instruction counts and the ``requests`` of the access patterns
+    are *per block* (fractional warp counts, as a kernel model's loop
+    walk records them). Launch ``i`` runs ``grid_blocks[i]`` blocks and
+    is called ``names[i]``; its counts are the per-block ones scaled by
+    its grid and rounded half to even (requests at least 1).
+
+    A batch is a ``Sequence[KernelWorkload]``: indexing or iterating it
+    materialises each launch's :class:`KernelWorkload`, so anything that
+    consumes a workload list accepts a batch.
+    :meth:`repro.gpusim.GPUSimulator.run_totals` instead evaluates the
+    whole batch as arrays over the launch axis.
+    """
+
+    names: tuple[str, ...]
+    grid_blocks: np.ndarray
+    threads_per_block: int
+    regs_per_thread: int = 16
+    shared_mem_per_block: int = 0
+    arithmetic_instructions: float = 0.0
+    fma_instructions: float = 0.0
+    branches: float = 0.0
+    divergent_branches: float = 0.0
+    other_instructions: float = 0.0
+    avg_active_threads: float = 32.0
+    global_accesses: tuple[GlobalAccessPattern, ...] = ()
+    shared_accesses: tuple[SharedAccessPattern, ...] = ()
+    memory_ilp: float = 1.0
+    critical_path_cycles: float = 0.0
+
+    def __post_init__(self) -> None:
+        grids = np.array(self.grid_blocks, dtype=np.int64)
+        grids.setflags(write=False)
+        object.__setattr__(self, "grid_blocks", grids)
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "global_accesses", tuple(self.global_accesses))
+        object.__setattr__(self, "shared_accesses", tuple(self.shared_accesses))
+        if grids.ndim != 1 or grids.size != len(self.names):
+            raise ValueError("grid_blocks must be a vector with one name per launch")
+        if grids.size and grids.min() < 1:
+            raise ValueError("grid_blocks must be >= 1")
+        if any(a.addresses is not None for a in self.global_accesses):
+            raise ValueError("a launch batch's access patterns carry no address trace")
+        if grids.size:
+            self[0]  # the launch shape validates as a KernelWorkload
+
+    def __len__(self) -> int:
+        return self.grid_blocks.size
+
+    def __getitem__(self, index: int) -> KernelWorkload:
+        i = range(len(self))[operator.index(index)]
+        c = self.counts
+        return KernelWorkload(
+            name=self.names[i],
+            grid_blocks=int(self.grid_blocks[i]),
+            threads_per_block=self.threads_per_block,
+            regs_per_thread=self.regs_per_thread,
+            shared_mem_per_block=self.shared_mem_per_block,
+            avg_active_threads=self.avg_active_threads,
+            global_accesses=[
+                replace(a, requests=int(r[i]))
+                for a, r in zip(self.global_accesses, c["global"])
+            ],
+            shared_accesses=[
+                replace(s, requests=int(r[i]))
+                for s, r in zip(self.shared_accesses, c["shared"])
+            ],
+            memory_ilp=self.memory_ilp,
+            critical_path_cycles=self.critical_path_cycles,
+            **{name: int(c[name][i]) for name in _INSTRUCTION_COUNTS},
+        )
+
+    def __iter__(self) -> Iterator[KernelWorkload]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def warps_per_block(self) -> int:
+        return math.ceil(self.threads_per_block / 32)
+
+    def __repr__(self) -> str:
+        return (f"LaunchBatch({len(self)} launches of "
+                f"{self.threads_per_block}-thread blocks)")
+
+    @cached_property
+    def counts(self) -> dict[str, np.ndarray]:
+        """Every launch's integer counts (int64, launch axis last).
+
+        One entry per instruction count, plus ``"global"`` and
+        ``"shared"``: one row of request counts per access pattern.
+        """
+        g = self.grid_blocks
+        c = {name: _scaled(getattr(self, name), g, 0) for name in _INSTRUCTION_COUNTS}
+        c["divergent_branches"] = np.minimum(c["divergent_branches"], c["branches"])
+        for key, patterns in (("global", self.global_accesses),
+                              ("shared", self.shared_accesses)):
+            c[key] = np.array(
+                [_scaled(a.requests, g, 1) for a in patterns], dtype=np.int64
+            ).reshape(len(patterns), g.size)
+        return c

@@ -8,8 +8,10 @@ Each kernel in ``repro.kernels`` plays two roles:
   programs that actually compute the right thing);
 * a **workload model** (`workloads`) — the per-launch
   :class:`~repro.gpusim.workload.KernelWorkload` descriptions the GPU
-  simulator consumes: launch geometry, instruction mix, and memory
-  access patterns, derived from the same loop structure as `run`.
+  simulator consumes (a list, or a
+  :class:`~repro.gpusim.workload.LaunchBatch` of one block template):
+  launch geometry, instruction mix, and memory access patterns, derived
+  from the same loop structure as `run`.
 
 ``characteristics`` exposes the *problem characteristics* the paper
 uses as extra predictors (e.g. matrix size, sequence length), and
@@ -20,12 +22,18 @@ uses as extra predictors (e.g. matrix size, sequence length), and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.gpusim.arch import GPUArchitecture
-from repro.gpusim.workload import KernelWorkload
+from repro.gpusim.workload import (
+    GlobalAccessPattern,
+    KernelWorkload,
+    LaunchBatch,
+    SharedAccessPattern,
+)
 
 __all__ = ["Kernel", "WorkloadAccumulator"]
 
@@ -47,8 +55,10 @@ class Kernel(ABC):
     @abstractmethod
     def workloads(
         self, problem: Any, arch: GPUArchitecture
-    ) -> list[KernelWorkload]:
-        """Per-launch workload descriptions for the simulator."""
+    ) -> Sequence[KernelWorkload]:
+        """Per-launch workload descriptions for the simulator: a list,
+        or a :class:`~repro.gpusim.workload.LaunchBatch` when every
+        launch shares one block template."""
 
     @abstractmethod
     def characteristics(self, problem: Any) -> dict[str, float]:
@@ -143,53 +153,46 @@ class WorkloadAccumulator:
     def build(self) -> KernelWorkload:
         return self.build_for_grid(self.grid_blocks)
 
-    def build_for_grid(self, grid_blocks: int, name: str | None = None) -> KernelWorkload:
-        """Scale the recorded per-block counts to an arbitrary grid.
+    def build_for_grid(
+        self,
+        grid_blocks: int | Sequence[int],
+        name: str | Sequence[str] | None = None,
+    ) -> KernelWorkload | LaunchBatch:
+        """Scale the recorded per-block counts to other grid sizes.
 
         Lets kernels that launch the same block shape many times with
         varying grids (e.g. Needleman–Wunsch's per-diagonal launches)
-        walk the block loop structure once and emit one workload per
-        launch cheaply.
+        walk the block loop structure once. A vector of grid sizes, with
+        one name per launch (default: the accumulator's name), returns a
+        :class:`~repro.gpusim.workload.LaunchBatch`; a single grid size
+        returns that batch's one :class:`KernelWorkload`.
         """
-        from repro.gpusim.workload import GlobalAccessPattern, SharedAccessPattern
-
-        g = grid_blocks
-        shared = [
-            SharedAccessPattern(kind=k, requests=max(1, round(w * g)),
-                                conflict_degree=deg)
-            for (k, deg), w in sorted(self._shared.items())
-            if w > 0
-        ]
-        gl = []
-        for spec in self._global:
-            requests = max(1, round(spec["requests"] * g))
-            gl.append(GlobalAccessPattern(
-                kind=spec["kind"], requests=requests,
-                word_bytes=spec["word_bytes"], stride_words=spec["stride_words"],
-                active_lanes=spec["active_lanes"],
-                unique_bytes=spec["unique_bytes"],
-                l1_hit_fraction=spec["l1_hit_fraction"],
-                l2_hit_fraction=spec["l2_hit_fraction"],
-            ))
+        if np.ndim(grid_blocks) == 0:
+            name = self.name if name is None else name
+            return self.build_for_grid([grid_blocks], [name])[0]
+        if name is None:
+            name = [self.name] * len(grid_blocks)
         avg_lanes = (
             self._thread_insts / self._warp_insts if self._warp_insts > 0 else 32.0
         )
-        return KernelWorkload(
-            name=name if name is not None else self.name,
-            grid_blocks=g,
+        return LaunchBatch(
+            names=name,
+            grid_blocks=grid_blocks,
             threads_per_block=self.threads_per_block,
             regs_per_thread=self.regs_per_thread,
             shared_mem_per_block=self.shared_mem_per_block,
-            arithmetic_instructions=max(0, round(self._arith * g)),
-            fma_instructions=max(0, round(self._fma * g)),
-            branches=max(0, round(self._branches * g)),
-            divergent_branches=min(
-                max(0, round(self._divergent * g)), max(0, round(self._branches * g))
-            ),
-            other_instructions=max(0, round(self._other * g)),
+            arithmetic_instructions=self._arith,
+            fma_instructions=self._fma,
+            branches=self._branches,
+            divergent_branches=self._divergent,
+            other_instructions=self._other,
             avg_active_threads=float(np.clip(avg_lanes, 1e-6, 32.0)),
-            global_accesses=gl,
-            shared_accesses=shared,
+            global_accesses=[GlobalAccessPattern(**spec) for spec in self._global],
+            shared_accesses=[
+                SharedAccessPattern(kind=k, requests=w, conflict_degree=deg)
+                for (k, deg), w in sorted(self._shared.items())
+                if w > 0
+            ],
             memory_ilp=self.memory_ilp,
             critical_path_cycles=self._critical_path,
         )

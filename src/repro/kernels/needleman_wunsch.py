@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.gpusim.arch import GPUArchitecture
 from repro.gpusim.banks import conflict_degree_from_lanes
-from repro.gpusim.workload import KernelWorkload
+from repro.gpusim.workload import LaunchBatch
 
 from .base import Kernel, WorkloadAccumulator
 
@@ -200,17 +200,19 @@ class NeedlemanWunschKernel(Kernel):
         acc.arith(2, lanes=_TILE)
         return acc
 
-    def workloads(self, problem: int, arch: GPUArchitecture) -> list[KernelWorkload]:
+    def workloads(self, problem: int, arch: GPUArchitecture) -> LaunchBatch:
+        """Both diagonal sweeps as one batch: kernel 1 over block
+        diagonals ``1..B``, then kernel 2 over ``B-1..1``."""
         L = int(problem)
         self._check(L)
         B = L // _TILE
-        template = self._block_template(L, arch)
-        launches: list[KernelWorkload] = []
-        for d in range(1, B + 1):          # kernel 1
-            launches.append(template.build_for_grid(d, name=f"nw_kernel1(d={d})"))
-        for d in range(B - 1, 0, -1):      # kernel 2
-            launches.append(template.build_for_grid(d, name=f"nw_kernel2(d={d})"))
-        return launches
+        sweep1 = list(range(1, B + 1))
+        sweep2 = list(range(B - 1, 0, -1))
+        return self._block_template(L, arch).build_for_grid(
+            sweep1 + sweep2,
+            [f"nw_kernel1(d={d})" for d in sweep1]
+            + [f"nw_kernel2(d={d})" for d in sweep2],
+        )
 
     # ------------------------------------------------------------------
 

@@ -33,6 +33,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from repro.io import atomic_write
 from repro.ml.metrics import spearman_rank_correlation
 from repro.viz.svg import svg_bar_chart
 from repro.viz.text import bar_chart, table as text_table
@@ -221,7 +222,8 @@ class Report:
         raise ValueError(f"unknown report format {format!r}")
 
     def save(self, path, format: str | None = None) -> Path:
-        """Write the report to ``path`` (format inferred from suffix)."""
+        """Write the report to ``path`` (format inferred from suffix),
+        atomically: a crash mid-save leaves the previous report intact."""
         path = Path(path)
         if format is None:
             format = {
@@ -231,7 +233,7 @@ class Report:
                 ".htm": "html",
             }.get(path.suffix.lower(), "text")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.render(format))
+        atomic_write(path, self.render(format))
         return path
 
 

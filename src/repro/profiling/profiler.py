@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,9 +180,11 @@ class Profiler:
             self._sim = CPUSimulator(arch)
         else:
             self._sim = GPUSimulator(arch)
-        self._workload_cache: dict[tuple[str, object], list] = {}
+        self._workload_cache: dict[tuple[str, object], Sequence[KernelWorkload]] = {}
 
-    def _workloads(self, kernel: Kernel, problem: object) -> list[KernelWorkload]:
+    def _workloads(
+        self, kernel: Kernel, problem: object
+    ) -> Sequence[KernelWorkload]:
         key = (kernel.name, problem)
         workloads = self._workload_cache.get(key)
         if workloads is None:
@@ -306,13 +309,14 @@ class Profiler:
                 )
             else:
                 if deadline_s is None:
-                    profiles = [self._sim.launch(wl, pert) for wl in workloads]
+                    totals = self._sim.run_totals(workloads, pert)
                 else:
+                    # Per launch, so the deadline is checked between launches.
                     profiles = []
                     for wl in workloads:
                         self._check_deadline(deadline_s, problem)
                         profiles.append(self._sim.launch(wl, pert))
-                totals = sum_raw(profiles)
+                    totals = sum_raw(profiles)
                 counters, time_s = finalize_counters(
                     self.arch, totals, time_scale=pert.time_jitter
                 )

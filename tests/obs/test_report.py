@@ -88,6 +88,20 @@ class TestReportStructure:
         assert md.read_text().startswith("# T")
         assert txt.read_text().startswith("=== T ===")
 
+    def test_crash_mid_save_keeps_previous_report(
+        self, tmp_path, crash_before_rename
+    ):
+        path = tmp_path / "r.md"
+        old = Report("Old")
+        old.section("S").para("previous body")
+        old.save(path)
+        new = Report("New")
+        new.section("S").para("next body")
+        with crash_before_rename("r.md"):
+            with pytest.raises(OSError, match="simulated crash"):
+                new.save(path)
+        assert path.read_text() == old.render("md")
+
 
 class TestBottleneckReport:
     def test_core_sections_present(self, fit, campaign):

@@ -7,13 +7,15 @@ AND quarantine set) is bit-identical for any ``n_jobs``, because fault
 decisions hash the launch context rather than counting calls.
 """
 
+import time
+
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy, fault_injection
-from repro.gpusim import GTX580
-from repro.kernels import VectorAddKernel
+from repro.gpusim import GTX580, GPUSimulator
+from repro.kernels import NeedlemanWunschKernel, VectorAddKernel
 from repro.obs import collect
-from repro.profiling import Campaign, QuarantinedRun
+from repro.profiling import Campaign, Profiler, QuarantinedRun
 
 
 def _records_equal(a, b) -> bool:
@@ -170,3 +172,53 @@ class TestQuarantineBookkeeping:
         q = QuarantinedRun(problem=4096, index=2, stage="launch",
                            error="InjectedFault: boom", attempts=3)
         assert QuarantinedRun.from_dict(q.to_dict()) == q
+
+
+NW_PROBLEMS = [32, 48, 64, 96, 128]
+NW_FAULT = FaultSpec("gpusim.launch", "raise",
+                     match={"workload": "nw_kernel2(d=3)"})
+
+
+class TestBatchedLaunchFallback:
+    """Needleman–Wunsch's launches are simulated as one batch; a fault
+    plan or a deadline sends them back through per-launch ``launch``."""
+
+    def test_named_launch_fault_quarantines_as_per_launch(self):
+        with fault_injection(FaultPlan([NW_FAULT])):
+            result = Campaign(NeedlemanWunschKernel(), GTX580, rng=0).run(
+                problems=NW_PROBLEMS, n_jobs=1
+            )
+        # Every length with a fourth block diagonal (L >= 64) runs
+        # nw_kernel2(d=3); the errors are those of the per-launch site.
+        error = ("InjectedFault: injected simulator failure launching "
+                 "'nw_kernel2(d=3)' on GTX580")
+        assert [q.to_dict() for q in result.quarantined] == [
+            {"problem": L, "index": i, "stage": "launch", "error": error,
+             "attempts": 3}
+            for i, L in enumerate(NW_PROBLEMS) if L >= 64
+        ]
+        clean = Campaign(NeedlemanWunschKernel(), GTX580, rng=0).run(
+            problems=NW_PROBLEMS, n_jobs=1
+        )
+        assert _records_equal(result.records,
+                              [r for r in clean.records if r.problem < 64])
+
+    def test_deadline_takes_the_per_launch_path(self, monkeypatch):
+        launched = []
+        real_launch = GPUSimulator.launch
+
+        def spy(self, wl, perturbation=None):
+            launched.append(wl.name)
+            return real_launch(self, wl, perturbation)
+
+        monkeypatch.setattr(GPUSimulator, "launch", spy)
+        kernel = NeedlemanWunschKernel()
+        batch = kernel.workloads(256, GTX580)
+        batched = Profiler(GTX580, rng=0).profile(kernel, 256)
+        assert launched == []
+        timed = Profiler(GTX580, rng=0).profile(
+            kernel, 256, deadline_s=time.monotonic() + 3600
+        )
+        assert launched == list(batch.names)
+        assert timed[0].counters == batched[0].counters
+        assert timed[0].time_s == batched[0].time_s

@@ -276,6 +276,12 @@ IDENTITY_COMMANDS = {
         ",".join(str(1 << p) for p in range(14, 20)),
         "--trees", "10", "--repeats", "1",
     ],
+    # Needleman-Wunsch profiles through the batched launch path.
+    "analyze-nw": [
+        "analyze", "needleman-wunsch", "--sizes",
+        ",".join(str(64 * k) for k in range(1, 17)),
+        "--trees", "30", "--repeats", "1",
+    ],
     "predict": [
         "predict", "vectorAdd", "--sizes", "100000,400000",
         "--trees", "10", "--replicates", "2",

@@ -13,6 +13,7 @@ import pytest
 import repro
 import repro.core
 import repro.faults
+import repro.gpusim
 import repro.obs
 import repro.profiling
 
@@ -66,6 +67,57 @@ PROFILING_EXPORTS = [
     "QuarantinedRun",
     "RepositoryIntegrityError",
     "RunRecord",
+]
+
+GPUSIM_EXPORTS = [
+    "CATALOGUE",
+    "CacheGeometry",
+    "CacheSim",
+    "CounterSet",
+    "CounterSpec",
+    "GPUArchitecture",
+    "GPUSimulator",
+    "GTX480",
+    "GTX580",
+    "GlobalAccessPattern",
+    "Instruction",
+    "K20M",
+    "KernelWorkload",
+    "LaunchBatch",
+    "LaunchProfile",
+    "LaunchTiming",
+    "MemoryAccessResult",
+    "MicroResult",
+    "MicroSim",
+    "OccupancyResult",
+    "Perturbation",
+    "RooflinePoint",
+    "SharedAccessPattern",
+    "TABLE1_COUNTERS",
+    "TABLE2_METRICS",
+    "TimingModel",
+    "aggregate_launches",
+    "attainable_gflops",
+    "available_counters",
+    "average_power_w",
+    "clear_resolve_access_cache",
+    "coalesce_trace",
+    "conflict_degree_for_stride",
+    "conflict_degree_from_lanes",
+    "counters_for",
+    "estimate_hit_fraction",
+    "finalize_counters",
+    "occupancy",
+    "predictor_counters",
+    "replay_count",
+    "resolve_access",
+    "resolve_access_memoization",
+    "roofline_chart",
+    "roofline_point",
+    "sum_raw",
+    "transactions_from_trace",
+    "transactions_from_trace_scalar",
+    "transactions_per_request",
 ]
 
 FAULTS_EXPORTS = [
@@ -141,12 +193,18 @@ class TestExportSnapshots:
     def test_faults_exports(self):
         assert sorted(repro.faults.__all__) == FAULTS_EXPORTS
 
+    def test_gpusim_exports(self):
+        assert sorted(repro.gpusim.__all__) == GPUSIM_EXPORTS
+        # The batch entry point is a simulator method, not a module export.
+        assert callable(repro.gpusim.GPUSimulator.run_totals)
+
     @pytest.mark.parametrize("module,names", [
         (repro.core, CORE_EXPORTS),
         (repro.profiling, PROFILING_EXPORTS),
         (repro.obs, OBS_EXPORTS),
         (repro.faults, FAULTS_EXPORTS),
-    ], ids=["core", "profiling", "obs", "faults"])
+        (repro.gpusim, GPUSIM_EXPORTS),
+    ], ids=["core", "profiling", "obs", "faults", "gpusim"])
     def test_every_export_resolves(self, module, names):
         for name in names:
             assert getattr(module, name) is not None, name
