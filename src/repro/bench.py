@@ -35,6 +35,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.io import atomic_write
+
 __all__ = [
     "BenchResult",
     "run_benchmarks",
@@ -785,9 +787,7 @@ def write_report(
         "numpy": np.__version__,
         "results": [asdict(r) for r in results],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
     return payload
 
 

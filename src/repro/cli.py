@@ -52,6 +52,7 @@ from repro import (
 )
 from repro.cpusim import I7_SANDY, XEON_E5
 from repro.gpusim import GTX480, GTX580, K20M
+from repro.io import atomic_write
 from repro.viz import table
 
 ARCHS = {a.name: a for a in (GTX480, GTX580, K20M, XEON_E5, I7_SANDY)}
@@ -83,18 +84,24 @@ def _parse_sizes(text: str) -> list[int]:
         raise SystemExit(f"could not parse sizes {text!r} (expected e.g. 96,416)")
 
 
-def _span_dicts(records) -> list[dict]:
-    return [
-        {
-            "name": r.name,
-            "span_id": r.span_id,
-            "parent_id": r.parent_id,
-            "duration_s": r.duration_s,
-            "pid": r.pid,
-            "labels": r.labels,
-        }
-        for r in records
-    ]
+def _trace_payload(records) -> dict:
+    """A trace as JSON: the span list plus its Chrome-trace events."""
+    from repro.obs import to_chrome_trace
+
+    return {
+        "spans": [
+            {
+                "name": r.name,
+                "span_id": r.span_id,
+                "parent_id": r.parent_id,
+                "duration_s": r.duration_s,
+                "pid": r.pid,
+                "labels": r.labels,
+            }
+            for r in records
+        ],
+        "chrome_trace": to_chrome_trace(records),
+    }
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -108,12 +115,7 @@ def _emit(args, payload: dict, text: str) -> None:
     registry = getattr(args, "_registry", None)
     if getattr(args, "format", "text") == "json":
         if tracer is not None:
-            from repro.obs import to_chrome_trace
-
-            payload["trace"] = {
-                "spans": _span_dicts(tracer.records),
-                "chrome_trace": to_chrome_trace(tracer.records),
-            }
+            payload["trace"] = _trace_payload(tracer.records)
         if registry is not None:
             payload["metrics"] = registry.snapshot()
         print(json.dumps(payload, indent=2))
@@ -409,8 +411,7 @@ def cmd_report(args) -> int:
     )
     rendered = report.render(args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        atomic_write(args.out, rendered)
         print(f"report written to {args.out}", file=sys.stderr)
     else:
         print(rendered, end="")
@@ -1257,7 +1258,7 @@ def cmd_top(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run any subcommand under tracing and print/export its span tree."""
-    from repro.obs import collect, render_text_tree, to_chrome_trace, trace
+    from repro.obs import collect, render_text_tree, trace
 
     wrapped = list(args.wrapped)
     if wrapped and wrapped[0] == "--":
@@ -1272,15 +1273,13 @@ def cmd_trace(args) -> int:
     if args.format == "json":
         out = json.dumps({
             "command": wrapped,
-            "spans": _span_dicts(tracer.records),
-            "chrome_trace": to_chrome_trace(tracer.records),
+            **_trace_payload(tracer.records),
             "metrics": registry.snapshot(),
         }, indent=2)
     else:
         out = render_text_tree(tracer.records)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        atomic_write(args.out, out + "\n")
         print(f"trace written to {args.out}", file=sys.stderr)
     else:
         print(out)

@@ -106,9 +106,10 @@ class FaultSpec:
         ``truncate_trace``/``torn_file``. The special key ``times``
         (int, any mode) bounds how often the rule fires per matching
         context: ``{"times": 1}`` models a *transient* fault — the first
-        attempt fails, the retry succeeds. Counted per plan instance
-        (i.e. per process); a launch and all its retries run in one
-        process, so outcomes stay independent of ``n_jobs``.
+        attempt fails, the retry succeeds. A launch and all its retries
+        run in one process, and a fan-out's workers start from the
+        parent's counts and hand theirs back, so outcomes stay
+        independent of ``n_jobs``.
     """
 
     site: str
@@ -176,8 +177,11 @@ class FaultPlan:
     """An ordered rule set plus the seed driving probabilistic rules.
 
     ``decide`` returns the first rule that fires for a context; fired
-    decisions are appended to :attr:`events` for reporting (per-process
-    bookkeeping only — determinism never depends on it).
+    decisions are appended to :attr:`events` for reporting. Determinism
+    never depends on the events. A process fan-out runs each task under
+    a :meth:`fork` and folds what fired there back with :meth:`merge`,
+    so the events and ``times`` counts cover the whole run at any
+    ``n_jobs``.
     """
 
     specs: list[FaultSpec] = field(default_factory=list)
@@ -186,6 +190,8 @@ class FaultPlan:
     #: Fire counts per (rule index, context) — only consulted by rules
     #: with a ``times`` payload bound.
     _fired: dict = field(default_factory=dict)
+    #: The ``times`` counts this plan was forked with (see :meth:`fork`).
+    _forked: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for spec in self.specs:
@@ -205,6 +211,25 @@ class FaultPlan:
             self.events.append((site, spec.mode, dict(ctx)))
             return spec
         return None
+
+    def fork(self) -> "FaultPlan":
+        """A copy for a worker process: the same rules, seed and
+        ``times`` counts, and no events yet."""
+        return FaultPlan(
+            self.specs,
+            self.seed,
+            _fired=dict(self._fired),
+            _forked=dict(self._fired),
+        )
+
+    def merge(self, fork: "FaultPlan") -> None:
+        """Fold back what fired under a :meth:`fork` of this plan: its
+        events, and the ``times`` counts it added."""
+        self.events.extend(fork.events)
+        for key, count in fork._fired.items():
+            added = count - fork._forked.get(key, 0)
+            if added:
+                self._fired[key] = self._fired.get(key, 0) + added
 
     def summary(self) -> dict:
         """Per (site, mode) fired-event counts, for chaos reports."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs import child_trace, collect, current_metrics, current_tracer, span
+from repro.obs import span
 from repro.parallel import (
     chunk_bounds,
     process_map,
@@ -139,34 +139,10 @@ def _fit_forest_tree(
     return tree, oob_idx, pred_oob, perm_row
 
 
-def _fit_forest_chunk(args) -> tuple[list[tuple], list | None, object]:
-    """Worker: fit a contiguous run of trees; optionally collect spans.
-
-    When the parent process was tracing (or collecting metrics), the
-    worker records into fresh collectors (not the fork-inherited ones)
-    and returns them for the parent to merge under ``forest.fit``.
-    """
-    X, y, cfg, rngs, traced, metered = args
-
-    def grow():
-        return [_fit_forest_tree(X, y, cfg, rng) for rng in rngs]
-
-    spans = metrics = None
-    if traced and metered:
-        with child_trace() as tracer, collect() as registry:
-            out = grow()
-        spans, metrics = tracer.records, registry
-    elif traced:
-        with child_trace() as tracer:
-            out = grow()
-        spans = tracer.records
-    elif metered:
-        with collect() as registry:
-            out = grow()
-        metrics = registry
-    else:
-        out = grow()
-    return out, spans, metrics
+def _fit_forest_chunk(args) -> list[tuple]:
+    """Worker: fit a contiguous run of trees, one per stream."""
+    X, y, cfg, rngs = args
+    return [_fit_forest_tree(X, y, cfg, rng) for rng in rngs]
 
 
 class RandomForestRegressor:
@@ -301,24 +277,17 @@ class RandomForestRegressor:
         self._spawned += k
         jobs = min(self.n_jobs, k)
         if jobs > 1:
-            tracer = current_tracer()
-            registry = current_metrics()
             bounds = chunk_bounds(k, jobs)
             tasks = [
-                (X, y, cfg, streams[lo:hi], tracer is not None,
-                 registry is not None)
+                (X, y, cfg, streams[lo:hi])
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
-            results = []
-            for chunk, child_spans, child_metrics in process_map(
-                _fit_forest_chunk, tasks, jobs
-            ):
-                results.extend(chunk)
-                if child_spans and tracer is not None:
-                    tracer.adopt(child_spans)
-                if child_metrics is not None and registry is not None:
-                    registry.merge(child_metrics)
+            results = [
+                tree
+                for chunk in process_map(_fit_forest_chunk, tasks, jobs)
+                for tree in chunk
+            ]
         else:
             results = [_fit_forest_tree(X, y, cfg, rng) for rng in streams]
         return results

@@ -11,9 +11,9 @@ Four coordinated pieces:
 * **spans** (:func:`span`, :func:`trace`) — hierarchical timed spans
   over the pipeline (``campaign.run`` → ``profile`` →
   ``gpusim.launch`` → ``gpusim.resolve_access``; ``blackforest.fit`` →
-  ``forest.fit`` → ``forest.tree``), with worker-process span capture
-  (:func:`child_trace`) merged back into the parent trace
-  (:meth:`Tracer.adopt`);
+  ``forest.fit`` → ``forest.tree``); :func:`repro.parallel.process_map`
+  carries the active collectors and fault plan, so worker-process spans
+  are merged back into the parent trace (:meth:`Tracer.adopt`);
 * **metrics** (:func:`collect`, :func:`inc`, :func:`timer`,
   :func:`set_gauge`) — labelled counters/timers/gauges, e.g. the
   ``resolve_access`` memo hit/miss counters;
@@ -59,11 +59,9 @@ from .history import append_history, compare_results, read_history
 from .log import (
     Event,
     EventLog,
-    child_event_log,
     current_event_log,
     emit,
     event_log,
-    event_log_enabled,
     read_events,
     read_flightrec,
 )
@@ -74,7 +72,6 @@ from .metrics import (
     collect,
     current_metrics,
     inc,
-    metrics_enabled,
     observe,
     set_gauge,
     timer,
@@ -89,11 +86,9 @@ from .telemetry import (
 from .spans import (
     SpanRecord,
     Tracer,
-    child_trace,
     current_tracer,
     span,
     trace,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -101,14 +96,11 @@ __all__ = [
     "Tracer",
     "span",
     "trace",
-    "child_trace",
     "current_tracer",
-    "tracing_enabled",
     "LogHistogram",
     "MetricsRegistry",
     "collect",
     "current_metrics",
-    "metrics_enabled",
     "inc",
     "set_gauge",
     "observe",
@@ -116,9 +108,7 @@ __all__ = [
     "Event",
     "EventLog",
     "event_log",
-    "child_event_log",
     "current_event_log",
-    "event_log_enabled",
     "emit",
     "read_events",
     "Manifest",

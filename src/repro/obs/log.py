@@ -12,9 +12,10 @@ the stream a durable artifact an operator can tail.
 Like spans and metrics, collection is **off by default**: the disabled
 :func:`emit` path is one module-global load plus an ``is None`` check —
 no allocation, no clock read — so emit sites can live permanently in
-the campaign/fit layers. Worker processes collect into their own fresh
-log (:func:`child_event_log`) and ship the events back for the parent
-to :meth:`EventLog.merge`, exactly the way spans are adopted.
+the campaign/fit layers. :func:`repro.parallel.process_map` carries
+the active collectors and fault plan: each worker records into a fresh
+log, and the parent folds its events back with :meth:`EventLog.merge`,
+exactly the way spans are adopted.
 
 The JSONL sink is a :class:`repro.io.Journal`: every line is flushed
 and fsynced, and :func:`read_events` tolerates a torn trailing line
@@ -46,9 +47,7 @@ __all__ = [
     "Event",
     "EventLog",
     "event_log",
-    "child_event_log",
     "current_event_log",
-    "event_log_enabled",
     "emit",
     "read_events",
     "read_flightrec",
@@ -281,10 +280,6 @@ def current_event_log() -> EventLog | None:
     return _ACTIVE
 
 
-def event_log_enabled() -> bool:
-    return _ACTIVE is not None
-
-
 def emit(kind: str, /, **fields) -> None:
     """Record an event on the active log — or do nothing, cheaply."""
     log = _ACTIVE
@@ -308,24 +303,3 @@ def event_log(path: str | os.PathLike | None = None):
     finally:
         _ACTIVE = previous
 
-
-@contextmanager
-def child_event_log():
-    """Worker-side collection for process fan-outs.
-
-    A forked worker inherits the parent's ``_ACTIVE`` log object —
-    including every event the parent recorded before the fork — so
-    workers must *not* append to it (and a parent's *file sink* must
-    not be written from two processes). This installs a guaranteed-fresh
-    in-memory log and yields it; the worker returns ``log.events``
-    alongside its results and the parent merges them with
-    :meth:`EventLog.merge`.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    log = EventLog()
-    _ACTIVE = log
-    try:
-        yield log
-    finally:
-        _ACTIVE = previous

@@ -45,7 +45,6 @@ __all__ = [
     "RAW_SAMPLE_CAP",
     "collect",
     "current_metrics",
-    "metrics_enabled",
     "inc",
     "set_gauge",
     "observe",
@@ -313,10 +312,6 @@ _ACTIVE: MetricsRegistry | None = None
 
 def current_metrics() -> MetricsRegistry | None:
     return _ACTIVE
-
-
-def metrics_enabled() -> bool:
-    return _ACTIVE is not None
 
 
 def inc(name: str, value: float = 1.0, **labels) -> None:

@@ -17,10 +17,11 @@ Design constraints, in order:
    identical whether tracing is on or off (pinned by
    ``tests/obs/test_instrumentation.py``).
 2. **Process fan-out must merge.** ``Campaign.run(n_jobs)`` and
-   ``RandomForestRegressor.fit(n_jobs)`` ship work to a process pool;
-   workers collect spans into their own fresh tracer
-   (:func:`child_trace`) and return the records, which the parent
-   grafts under its current span with :meth:`Tracer.adopt`.
+   ``RandomForestRegressor.fit(n_jobs)`` ship work to a process pool
+   through :func:`repro.parallel.process_map`, which carries the active
+   collectors and fault plan: each worker records spans into a fresh
+   tracer, and the parent grafts them under its current span with
+   :meth:`Tracer.adopt`.
    ``time.perf_counter`` is CLOCK_MONOTONIC on Linux (system-wide), so
    child timestamps line up with the parent's on the platforms this
    project targets.
@@ -45,9 +46,7 @@ __all__ = [
     "Tracer",
     "span",
     "trace",
-    "child_trace",
     "current_tracer",
-    "tracing_enabled",
 ]
 
 
@@ -201,10 +200,6 @@ def current_tracer() -> Tracer | None:
     return _ACTIVE
 
 
-def tracing_enabled() -> bool:
-    return _ACTIVE is not None
-
-
 def span(name: str, **labels):
     """Open a span on the active tracer — or do nothing, cheaply.
 
@@ -234,23 +229,3 @@ def trace():
     finally:
         _ACTIVE = previous
 
-
-@contextmanager
-def child_trace():
-    """Worker-side collection for process fan-outs.
-
-    A forked worker inherits the parent's ``_ACTIVE`` tracer object —
-    including every record the parent made before the fork — so workers
-    must *not* append to it. This installs a guaranteed-fresh tracer
-    (discarding the inherited one for the duration) and yields it; the
-    worker returns ``tracer.records`` alongside its results and the
-    parent merges them with :meth:`Tracer.adopt`.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    tracer = Tracer()
-    _ACTIVE = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE = previous

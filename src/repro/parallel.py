@@ -20,14 +20,26 @@ same in both places and lives here:
   returns results *in task order*, with an optional in-parent recovery
   hook for crashed workers. The determinism sanitizer (rule BF405)
   rejects process fan-out anywhere else.
+
+:func:`process_map` also carries the active collectors and fault plan:
+whatever the parent is recording — spans, metrics, events, fired
+faults — each worker records into fresh collectors of the same kinds,
+and the parent merges them back in task order. Callers write plain
+workers that know nothing about observability.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Sequence
+from contextlib import ExitStack
+from typing import Callable, Sequence
 
 import numpy as np
+
+from repro.faults.plan import FaultPlan, active_plan, fault_injection
+from repro.obs.log import current_event_log, event_log
+from repro.obs.metrics import collect, current_metrics
+from repro.obs.spans import current_tracer, trace
 
 __all__ = ["chunk_bounds", "process_map", "resolve_n_jobs", "spawn_streams"]
 
@@ -61,6 +73,37 @@ def chunk_bounds(n_items: int, jobs: int) -> np.ndarray:
     return np.linspace(0, n_items, jobs + 1).astype(int)
 
 
+def _observed(
+    worker: Callable,
+    task,
+    traced: bool,
+    metered: bool,
+    evented: bool,
+    plan: FaultPlan | None,
+) -> tuple:
+    """Worker side of :func:`process_map`: run one task and return its
+    result with what the worker recorded.
+
+    A forked worker inherits the parent's collectors, records and all,
+    so each one the parent had active is shadowed by a fresh one here.
+    The plan is installed explicitly because module globals do not
+    survive spawn-started workers.
+    """
+    with ExitStack() as stack:
+        tracer = stack.enter_context(trace()) if traced else None
+        registry = stack.enter_context(collect()) if metered else None
+        log = stack.enter_context(event_log()) if evented else None
+        stack.enter_context(fault_injection(plan))
+        result = worker(task)
+    return (
+        result,
+        tracer.records if tracer is not None else [],
+        registry,
+        list(log.events) if log is not None else [],
+        plan,
+    )
+
+
 def process_map(
     worker: Callable,
     tasks: Sequence,
@@ -79,6 +122,14 @@ def process_map(
     and its return value stands in for the lost result; without a
     recovery hook the exception propagates.
 
+    The parent's active tracer, metrics registry, event log and fault
+    plan travel with every task (see :func:`_observed`). In task order,
+    each worker's spans are grafted under the caller's current span,
+    its metrics and events merged, and the faults that fired in it
+    folded back into the plan — so the parent sees the same
+    observations as a serial run. A recovered task runs in the parent
+    and records directly.
+
     This is deliberately the only module in the package that imports
     ``concurrent.futures`` (enforced by determinism rule BF405): every
     process fan-out shares one audited, order-stable code path.
@@ -90,14 +141,36 @@ def process_map(
     if recover is not None and BrokenProcessPool not in catch:
         catch = catch + (BrokenProcessPool,)
 
+    tracer = current_tracer()
+    registry = current_metrics()
+    log = current_event_log()
+    plan = active_plan()
+    carried = (
+        tracer is not None,
+        registry is not None,
+        log is not None,
+        plan.fork() if plan is not None else None,
+    )
     results: list = []
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(worker, task) for task in tasks]
+        futures = [
+            pool.submit(_observed, worker, task, *carried) for task in tasks
+        ]
         for task, future in zip(tasks, futures):
             try:
-                results.append(future.result())
+                result, spans, metrics, events, fired = future.result()
             except catch as exc:
                 if recover is None:  # pragma: no cover - guarded above
                     raise
                 results.append(recover(task, exc))
+                continue
+            if tracer is not None:
+                tracer.adopt(spans)
+            if registry is not None:
+                registry.merge(metrics)
+            if log is not None:
+                log.merge(events)
+            if plan is not None:
+                plan.merge(fired)
+            results.append(result)
     return results

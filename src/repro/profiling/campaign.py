@@ -26,13 +26,13 @@ import numpy as np
 from repro.analysis import InvariantViolation
 from repro.analysis.plan import preflight
 from repro.faults.errors import FaultError, WorkerCrash
-from repro.faults.plan import active_plan, fault_injection, should_inject
+from repro.faults.plan import should_inject
 from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.gpusim.arch import GPUArchitecture
 from repro.kernels.base import Kernel
-from repro.obs import child_trace, collect, current_metrics, current_tracer, span
+from repro.obs import current_metrics, span
 from repro.obs import metrics as obs_metrics
-from repro.obs.log import child_event_log, current_event_log, emit as emit_event
+from repro.obs.log import emit as emit_event
 from repro.parallel import (
     chunk_bounds,
     process_map,
@@ -161,7 +161,7 @@ def _profile_resilient(
     return None, quarantined
 
 
-def _profile_chunk(args) -> tuple[list[tuple], list | None, object]:
+def _profile_chunk(args) -> list[tuple]:
     """Worker: profile a contiguous slice of a campaign's problems.
 
     Rebuilds the profiler from its picklable configuration; passing the
@@ -169,21 +169,12 @@ def _profile_chunk(args) -> tuple[list[tuple], list | None, object]:
     constructor is idempotent. Each problem uses its pre-spawned child
     stream, so the records match the serial sweep bit for bit.
 
-    The parent's fault plan is re-installed explicitly (module globals
-    do not survive spawn-start workers), and the ``parallel.worker``
-    site is consulted per item — a firing rule raises
-    :class:`~repro.faults.WorkerCrash` out of the worker, which the
-    parent recovers from by re-running the chunk itself.
-
-    When the parent was tracing (or collecting metrics, or event
-    logging), the worker records its own spans/metrics/events into
-    fresh collectors (never the fork-inherited ones) and ships them
-    back with the results for the parent to merge.
+    The ``parallel.worker`` site is consulted per item — a firing rule
+    raises :class:`~repro.faults.WorkerCrash` out of the worker, which
+    the parent recovers from by re-running the chunk itself.
     """
-    from contextlib import ExitStack
-
     (arch, noise_scale, measurement_sigma, sanitize, kernel, replicates,
-     items, traced, metered, evented, plan, retry) = args
+     items, retry) = args
     profiler = Profiler(
         arch,
         noise_scale=noise_scale,
@@ -191,38 +182,23 @@ def _profile_chunk(args) -> tuple[list[tuple], list | None, object]:
         sanitize=sanitize,
     )
 
-    def sweep():
-        out = []
-        for index, problem, stream in items:
-            crash = should_inject(
-                "parallel.worker", kernel=kernel.name, problem=problem
+    out = []
+    for index, problem, stream in items:
+        crash = should_inject(
+            "parallel.worker", kernel=kernel.name, problem=problem
+        )
+        if crash is not None:
+            raise WorkerCrash(
+                f"injected worker crash while profiling problem "
+                f"{problem!r} of kernel {kernel.name!r}"
             )
-            if crash is not None:
-                raise WorkerCrash(
-                    f"injected worker crash while profiling problem "
-                    f"{problem!r} of kernel {kernel.name!r}"
-                )
-            out.append(
-                (index, problem)
-                + _profile_resilient(
-                    profiler, kernel, problem, index, replicates, stream, retry
-                )
+        out.append(
+            (index, problem)
+            + _profile_resilient(
+                profiler, kernel, problem, index, replicates, stream, retry
             )
-        return out
-
-    spans = metrics = events = None
-    with fault_injection(plan), ExitStack() as stack:
-        tracer = stack.enter_context(child_trace()) if traced else None
-        registry = stack.enter_context(collect()) if metered else None
-        log = stack.enter_context(child_event_log()) if evented else None
-        out = sweep()
-        if tracer is not None:
-            spans = tracer.records
-        if registry is not None:
-            metrics = registry
-        if log is not None:
-            events = log.events
-    return out, spans, metrics, events
+        )
+    return out
 
 
 @dataclass
@@ -609,10 +585,6 @@ class Campaign:
         per-problem streams, so the campaign both survives the crash and
         reproduces the records the worker would have produced.
         """
-        tracer = current_tracer()
-        registry = current_metrics()
-        log = current_event_log()
-        plan = active_plan()
         bounds = chunk_bounds(len(pending), jobs)
         chunks = [
             pending[lo:hi]
@@ -628,14 +600,11 @@ class Campaign:
                 self.kernel,
                 replicates,
                 chunk,
-                tracer is not None,
-                registry is not None,
-                log is not None,
-                plan,
                 retry,
             )
             for chunk in chunks
         ]
+
         def recover_chunk(task, exc):
             chunk = task[6]
             obs_metrics.inc(
@@ -657,7 +626,7 @@ class Campaign:
                 # worker-crash site only exists inside workers, so the
                 # fallback cannot crash the same way; a still-failing
                 # launch quarantines as usual.
-                out = [
+                return [
                     (index, problem)
                     + _profile_resilient(
                         self.profiler,
@@ -670,7 +639,6 @@ class Campaign:
                     )
                     for index, problem, stream in chunk
                 ]
-            return out, None, None, None
 
         chunk_results = process_map(
             _profile_chunk,
@@ -679,13 +647,6 @@ class Campaign:
             recoverable=(FaultError,),
             recover=recover_chunk,
         )
-        for out, child_spans, child_metrics, child_events in chunk_results:
+        for out in chunk_results:
             for index, problem, records, q in out:
                 finish(index, problem, records, q)
-            if child_spans and tracer is not None:
-                # Graft the worker's spans under campaign.run.
-                tracer.adopt(child_spans)
-            if child_metrics is not None and registry is not None:
-                registry.merge(child_metrics)
-            if child_events and log is not None:
-                log.merge(child_events)

@@ -7,11 +7,9 @@ import pytest
 from repro.obs import (
     Event,
     EventLog,
-    child_event_log,
     current_event_log,
     emit,
     event_log,
-    event_log_enabled,
     read_events,
     span,
     trace,
@@ -21,7 +19,6 @@ from repro.obs.log import SCHEMA
 
 class TestDisabledDefault:
     def test_disabled_by_default(self):
-        assert not event_log_enabled()
         assert current_event_log() is None
 
     def test_emit_is_noop_when_disabled(self):
@@ -71,7 +68,6 @@ class TestModuleState:
     def test_event_log_installs_and_restores(self):
         with event_log() as log:
             assert current_event_log() is log
-            assert event_log_enabled()
             emit("seen", n=1)
         assert current_event_log() is None
         assert log.kinds() == {"seen"}
@@ -84,19 +80,6 @@ class TestModuleState:
             emit("tick")
         assert len(outer) == 2
         assert len(inner) == 1
-
-    def test_child_event_log_is_fresh(self):
-        # A forked worker inherits the parent's log object; the child
-        # context must hide it so worker events land in a new log.
-        with event_log() as parent:
-            emit("parent.before")
-            with child_event_log() as child:
-                assert current_event_log() is child
-                assert current_event_log() is not parent
-                emit("worker.tick")
-            emit("parent.after")
-        assert child.kinds() == {"worker.tick"}
-        assert parent.kinds() == {"parent.before", "parent.after"}
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):

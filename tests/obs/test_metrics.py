@@ -8,7 +8,6 @@ from repro.obs import (
     collect,
     current_metrics,
     inc,
-    metrics_enabled,
     observe,
     set_gauge,
     timer,
@@ -18,7 +17,6 @@ from repro.obs.metrics import RAW_SAMPLE_CAP
 
 class TestDisabledDefault:
     def test_disabled_by_default(self):
-        assert not metrics_enabled()
         assert current_metrics() is None
 
     def test_module_instruments_are_noops_when_disabled(self):

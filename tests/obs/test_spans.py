@@ -5,18 +5,15 @@ import pytest
 from repro.obs import (
     SpanRecord,
     Tracer,
-    child_trace,
     current_tracer,
     span,
     trace,
-    tracing_enabled,
 )
 from repro.obs.spans import _NOOP
 
 
 class TestDisabledDefault:
     def test_tracing_disabled_by_default(self):
-        assert not tracing_enabled()
         assert current_tracer() is None
 
     def test_span_is_shared_noop_singleton(self):
@@ -95,18 +92,6 @@ class TestAdopt:
         assert inner.parent_id == worker.span_id
         ids = [r.span_id for r in parent.records]
         assert len(ids) == len(set(ids))
-
-    def test_child_trace_always_fresh(self):
-        with trace() as outer:
-            with span("outer.op"):
-                pass
-            with child_trace() as fresh:
-                assert fresh is not outer
-                assert fresh.records == []
-                with span("in.child"):
-                    pass
-            assert current_tracer() is outer
-        assert [r.name for r in fresh.records] == ["in.child"]
 
 
 class _install:

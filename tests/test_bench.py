@@ -54,6 +54,17 @@ class TestBenchHarness:
             "baseline_wall_s", "speedup",
         }
 
+    def test_write_report_crash_keeps_previous_file(
+        self, tmp_path, crash_before_rename
+    ):
+        out = tmp_path / "BENCH_core.json"
+        out.write_text("{}\n")
+        results = run_benchmarks(ops=["trace_transactions"], quick=True)
+        with crash_before_rename("BENCH_core.json"):
+            with pytest.raises(OSError, match="simulated crash"):
+                write_report(results, str(out), quick=True)
+        assert out.read_text() == "{}\n"
+
     def test_format_results_renders_table(self):
         results = run_benchmarks(ops=["trace_transactions"], quick=True)
         text = format_results(results)

@@ -168,6 +168,17 @@ class TestTracing:
         assert {"command", "spans", "chrome_trace", "metrics"} <= set(data)
         assert any(s["name"] == "profile" for s in data["spans"])
 
+    def test_trace_out_crash_keeps_previous_file(
+        self, tmp_path, capsys, crash_before_rename
+    ):
+        out_file = tmp_path / "trace.json"
+        out_file.write_text("previous trace\n")
+        with crash_before_rename("trace.json"):
+            with pytest.raises(OSError, match="simulated crash"):
+                main(["trace", "--out", str(out_file),
+                      "profile", "vectorAdd", "65536"])
+        assert out_file.read_text() == "previous trace\n"
+
     def test_trace_wrapper_rejects_nesting(self):
         with pytest.raises(SystemExit, match="nest"):
             main(["trace", "trace", "profile", "vectorAdd", "65536"])
@@ -235,6 +246,16 @@ class TestReportCommand:
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html
         assert str(out) in capsys.readouterr().err
+
+    def test_out_crash_keeps_previous_report(
+        self, tmp_path, capsys, crash_before_rename
+    ):
+        out = tmp_path / "report.md"
+        out.write_text("previous report\n")
+        with crash_before_rename("report.md"):
+            with pytest.raises(OSError, match="simulated crash"):
+                main(self.ARGS + ["--format", "md", "--out", str(out)])
+        assert out.read_text() == "previous report\n"
 
     def test_trace_flag_adds_hot_path_section(self, capsys):
         assert main(self.ARGS + ["--trace"]) == 0

@@ -40,6 +40,7 @@ class TestChaosCommand:
         parallel = json.loads(capsys.readouterr().out)
         assert serial["quarantined"] == parallel["quarantined"]
         assert serial["n_records"] == parallel["n_records"]
+        assert serial["faults_fired"] == parallel["faults_fired"]
 
     def test_total_loss_exits_nonzero(self, capsys):
         rc = main([

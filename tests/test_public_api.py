@@ -149,8 +149,6 @@ OBS_EXPORTS = [
     "append_history",
     "build_manifest",
     "build_report",
-    "child_event_log",
-    "child_trace",
     "collect",
     "compare_results",
     "current_event_log",
@@ -158,10 +156,8 @@ OBS_EXPORTS = [
     "current_tracer",
     "emit",
     "event_log",
-    "event_log_enabled",
     "git_revision",
     "inc",
-    "metrics_enabled",
     "observe",
     "read_events",
     "read_flightrec",
@@ -176,7 +172,6 @@ OBS_EXPORTS = [
     "timer",
     "to_chrome_trace",
     "trace",
-    "tracing_enabled",
 ]
 
 
