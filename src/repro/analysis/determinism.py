@@ -15,10 +15,9 @@ rules flag source constructs that quietly break that property:
 * **BF403** — iterating a ``set``/``frozenset`` into ordered output:
   string-hash randomization makes set order vary across *processes*,
   so any list/loop built from one differs between workers and runs.
-* **BF404** — direct ``open(..., "w")`` / ``Path.write_text`` in
-  persistence modules (``profiling/``, ``obs/``, ``serve/``, ``ml/``):
-  durable artifacts must go through :func:`repro.io.atomic_write` so a
-  crash can never leave a torn file.
+* **BF404** — direct ``open(..., "w")`` / ``Path.write_text`` anywhere
+  in the package but :mod:`repro.io`: durable artifacts must go through
+  :func:`repro.io.atomic_write` so a crash can never leave a torn file.
 * **BF405** — ``multiprocessing``/``concurrent.futures`` outside
   :mod:`repro.parallel`: process fan-out must flow through the one
   audited helper that guarantees order-stable, bit-identical results.
@@ -26,8 +25,9 @@ rules flag source constructs that quietly break that property:
 The pass is *scoped by reachability*: :func:`pipeline_modules` walks the
 package import graph from the pipeline entry points (``Campaign.run``,
 the predictor ``fit``/``predict`` layers) and only modules on those
-paths are linted, so CLI frontends and benchmarks can write files and
-read clocks freely.
+paths are linted, so CLI frontends and benchmarks can read clocks
+freely. BF404 alone covers every module of the package: a torn file
+is as bad when the CLI or the bench harness writes it.
 
 The shipped tree must lint clean — :func:`lint_determinism` self-hosts
 in CI. The few justified exceptions live in ``allowlist.txt`` next to
@@ -90,9 +90,8 @@ _ORDER_INSENSITIVE_CONSUMERS = {
     "frozenset",
 }
 
-#: Path fragments marking modules that persist pipeline artifacts (the
-#: scope of BF404).
-_PERSISTENCE_PATHS = ("/profiling/", "/obs/", "/serve/", "/ml/")
+#: The one module BF404 exempts: the durable writer itself.
+_DURABLE_IO = "repro/io.py"
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +258,10 @@ def _write_mode(call: ast.Call) -> str | None:
 
 
 @rule("BF404", Severity.ERROR, "determinism",
-      "persistence modules write artifacts via repro.io.atomic_write, "
-      "never a bare open('w')")
+      "files are written via repro.io.atomic_write, never a bare "
+      "open('w')")
 def check_raw_writes(r, tree: ast.AST, path: str):
-    normalized = "/" + path.replace("\\", "/").lstrip("/")
-    if not any(frag in normalized for frag in _PERSISTENCE_PATHS):
+    if path.replace("\\", "/").endswith(_DURABLE_IO):
         return
     for node, _ancestors, qualname in _walk(tree):
         if not isinstance(node, ast.Call):
@@ -462,8 +460,11 @@ def pipeline_modules(root: str | Path | None = None) -> list[Path]:
     return sorted(seen)
 
 
-def lint_determinism_file(path: str | Path) -> list[Finding]:
-    """Run the BF4xx rules on one Python file (no allowlist applied)."""
+def lint_determinism_file(
+    path: str | Path, select: Iterable[str] | None = None
+) -> list[Finding]:
+    """Run the BF4xx rules (or the ``select``-ed ones) on one Python
+    file (no allowlist applied)."""
     path = Path(path)
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"),
@@ -475,21 +476,26 @@ def lint_determinism_file(path: str | Path) -> list[Finding]:
             f"cannot parse: {exc}", subject=str(path),
             severity=Severity.ERROR,
         )]
-    return run_rules("determinism", tree, str(path))
+    return run_rules("determinism", tree, str(path), select=select)
 
 
 def lint_determinism(
     root: str | Path | None = None,
     allowlist: str | Path | None = ALLOWLIST_PATH,
 ) -> list[Finding]:
-    """The BF4xx pass over every pipeline-reachable module.
+    """The BF4xx pass over every pipeline-reachable module, plus BF404
+    over every other module of the package.
 
     ``allowlist=None`` disables suppression (tests use this to assert
     the raw findings); the default applies the packaged allowlist.
     """
+    root = _package_root() if root is None else Path(root)
+    pipeline = set(pipeline_modules(root))
     findings: list[Finding] = []
-    for module in pipeline_modules(root):
-        findings.extend(lint_determinism_file(module))
+    for module in sorted(root.rglob("*.py")):
+        findings.extend(lint_determinism_file(
+            module, select=None if module in pipeline else ("BF404",)
+        ))
     if allowlist is not None:
         findings = apply_allowlist(findings, load_allowlist(allowlist))
     return findings

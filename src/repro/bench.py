@@ -1,11 +1,11 @@
 """Micro-benchmark harness for the pipeline's hot paths (``repro bench``).
 
-Times the three paths the perf pass vectorized — trace coalescing /
-cache replay (gpusim), forest fitting (ml) and campaign sweeps
-(profiling) — **against the retained pre-vectorization implementations**
-(the ``*_scalar`` oracles, :mod:`repro.ml._reference`, and memoization
-disabled), so the recorded speedups compare real code rather than
-remembered numbers. Results land in ``BENCH_core.json``.
+Times the hot paths the perf passes vectorized — trace coalescing /
+cache replay (gpusim), forest fitting, prediction and partial
+dependence (ml), and campaign sweeps (profiling) — **against the
+retained pre-vectorization implementations** (the ``*_scalar``
+oracles, :mod:`repro.ml._reference`, and memoization disabled), so the
+recorded speedups compare real code rather than remembered numbers. Results land in ``BENCH_core.json``.
 
 Every benchmark first checks that fast and baseline paths agree on the
 workload being timed; a divergence makes the harness fail loudly rather
@@ -333,16 +333,18 @@ def bench_campaign_sweep(quick: bool = False) -> BenchResult:
 
 
 def bench_predict_many(quick: bool = False) -> BenchResult:
-    """Batched serving path: one stacked predict_many pass over many
-    queued queries vs. the per-query predict loop it replaces.
+    """Batched serving path: one stacked, packed predict_many pass over
+    many queued queries vs. the per-query, per-tree predict loop.
 
     The workload mirrors what ``repro serve`` coalesces — many small
-    (often single-row) query matrices against one warm fit — where the
-    per-query loop pays ``n_trees`` python-level tree traversal calls
-    *per query* and the stacked pass pays them once for the whole batch.
-    The two paths are checked bit-identical before timing (the stacking
-    lemma: forest prediction maps rows independently).
+    (often single-row) query matrices against one warm fit. The baseline
+    is the scalar path both optimizations replaced: one forest walk per
+    query, each a python-level loop over the trees
+    (:func:`repro.ml._reference.forest_predict`). The two paths are
+    checked bit-identical before timing (forest prediction maps rows
+    independently and sums trees in the same order).
     """
+    from repro.ml._reference import forest_predict
     from repro.ml.forest import RandomForestRegressor
 
     n, p = 200, 12
@@ -360,14 +362,15 @@ def bench_predict_many(quick: bool = False) -> BenchResult:
     ]
     rows = sum(q.shape[0] for q in queries)
 
-    batched = forest.predict_many(queries)
-    looped = [forest.predict(q) for q in queries]
-    for a, b in zip(batched, looped):
-        if not np.array_equal(a, b):
+    def run_base():
+        return [forest_predict(forest.trees_, q) for q in queries]
+
+    for a, b in zip(forest.predict_many(queries), run_base()):
+        if a.tobytes() != b.tobytes():
             raise AssertionError("batched predict diverges from per-query loop")
 
     fast_s = _best_of(lambda: forest.predict_many(queries), 5)
-    base_s = _best_of(lambda: [forest.predict(q) for q in queries], 2)
+    base_s = _best_of(run_base, 2)
     return _result(
         "predict_many", n_queries, "queries", fast_s, base_s,
         {
@@ -375,6 +378,63 @@ def bench_predict_many(quick: bool = False) -> BenchResult:
             "trees": trees,
             "n_features": p,
             "predictions_per_s": rows / fast_s if fast_s > 0 else None,
+        },
+    )
+
+
+def bench_partial_dependence(quick: bool = False) -> BenchResult:
+    """Stacked partial dependence vs. the per-grid, per-tree loop.
+
+    The importance stage's dependence plots at paper scale: a
+    reduce1-sized forest and the top features' grids, with confidence
+    bands. The fast path stacks every (feature, grid value) copy of the
+    data into one packed forest pass; the baseline walks each grid
+    point, and for the band each tree, one predict at a time
+    (:func:`repro.ml._reference.partial_dependence`). Grids, values and
+    bands are checked bit-identical before timing.
+    """
+    from repro.ml import _reference
+    from repro.ml.forest import RandomForestRegressor
+    from repro.ml.partial_dependence import partial_dependence
+
+    n, p = 80, 24
+    trees = 60 if quick else 300
+    features = list(range(4 if quick else 8))
+    rng = np.random.default_rng(7)
+    X = rng.lognormal(size=(n, p))
+    y = X[:, 0] * 2.0 + np.log(X[:, 1]) + rng.normal(scale=0.1, size=n)
+    forest = RandomForestRegressor(
+        n_trees=trees, importance=False, rng=np.random.default_rng(8)
+    ).fit(X, y)
+
+    def run_fast():
+        return partial_dependence(forest, X, features, confidence=0.9)
+
+    def run_base():
+        return [
+            _reference.partial_dependence(forest, X, j, confidence=0.9)
+            for j in features
+        ]
+
+    grid_points = 0
+    for a, b in zip(run_fast(), run_base()):
+        grid_points += a.grid.size
+        for name in ("grid", "values", "lower", "upper"):
+            if getattr(a, name).tobytes() != getattr(b, name).tobytes():
+                raise AssertionError(
+                    f"stacked partial dependence {name} diverges from "
+                    f"the per-grid loop"
+                )
+
+    fast_s = _best_of(run_fast, 3)
+    base_s = _best_of(run_base, 1 if quick else 2)
+    return _result(
+        "partial_dependence", grid_points, "grid points", fast_s, base_s,
+        {
+            "features": len(features),
+            "rows": n,
+            "trees": trees,
+            "confidence": 0.9,
         },
     )
 
@@ -750,6 +810,7 @@ BENCHMARKS = {
     "forest_fit": bench_forest_fit,
     "campaign_sweep": bench_campaign_sweep,
     "predict_many": bench_predict_many,
+    "partial_dependence": bench_partial_dependence,
     "serve_concurrent": bench_serve_concurrent,
     "time_to_matrix": bench_time_to_matrix,
     "fit_from_repo": bench_fit_from_repo,

@@ -54,15 +54,23 @@ def rank_importance(
     X: np.ndarray,
     top_k_dependence: int = 8,
 ) -> ImportanceRanking:
-    """Rank predictors and compute partial dependence for the leaders."""
+    """Rank predictors and compute partial dependence for the leaders.
+
+    The leaders' dependence comes from one stacked forest pass over
+    every (feature, grid value) copy of ``X``
+    (:func:`~repro.ml.partial_dependence.partial_dependence`).
+    """
     ranked = forest.ranked_importance()
     names = [n for n, _ in ranked]
     scores = np.array([s for _, s in ranked])
-    dependence: dict[str, PartialDependence] = {}
-    for name in names[:top_k_dependence]:
-        j = forest.feature_names_.index(name)
-        dependence[name] = partial_dependence(forest, X, j, feature_name=name)
-    return ImportanceRanking(names=names, scores=scores, dependence=dependence)
+    leaders = names[:top_k_dependence]
+    curves = partial_dependence(
+        forest, X, [forest.feature_names_.index(n) for n in leaders],
+        feature_name=leaders,
+    )
+    return ImportanceRanking(
+        names=names, scores=scores, dependence=dict(zip(leaders, curves))
+    )
 
 
 def reduced_model_check(

@@ -1,9 +1,10 @@
 """Pre-vectorization CART/forest implementations, kept on purpose.
 
-These are the scalar hot paths that :mod:`repro.ml.tree` and
-:mod:`repro.ml.forest` replaced with the block-vectorized split scan,
-the batched OOB-permutation predict and the spawned-stream parallel
-fit. They survive for two reasons:
+These are the scalar hot paths that :mod:`repro.ml.tree`,
+:mod:`repro.ml.forest` and :mod:`repro.ml.partial_dependence` replaced
+with the block-vectorized split scan, the batched OOB-permutation
+predict, the spawned-stream parallel fit, the packed forest descent and
+the stacked partial-dependence pass. They survive for two reasons:
 
 * **correctness oracles** — the equivalence tests pin the fast
   implementations against these on randomized datasets
@@ -19,10 +20,79 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import explained_variance, mse
+from .metrics import explained_variance, mse, spearman_rank_correlation
+from .partial_dependence import PartialDependence, _grid
 from .tree import _LEAF, _best_split_for_feature
 
-__all__ = ["ReferenceRegressionTree", "ReferenceRandomForestRegressor"]
+__all__ = [
+    "ReferenceRegressionTree",
+    "ReferenceRandomForestRegressor",
+    "tree_apply",
+    "forest_predict",
+    "partial_dependence",
+]
+
+
+def tree_apply(tree, X: np.ndarray) -> np.ndarray:
+    """One tree's leaf per row: the per-tree descent on a shrinking
+    active-row index, as ``RegressionTree.apply`` ran it before the
+    packed descent."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    idx = np.flatnonzero(tree.feature_[node] != _LEAF)
+    while idx.size:
+        cur = node[idx]
+        go_left = X[idx, tree.feature_[cur]] <= tree.threshold_[cur]
+        nxt = np.where(go_left, tree.left_[cur], tree.right_[cur])
+        node[idx] = nxt
+        idx = idx[tree.feature_[nxt] != _LEAF]
+    return node
+
+
+def forest_predict(trees, X: np.ndarray) -> np.ndarray:
+    """The per-tree forest predict loop: ``acc += tree.predict(X)``."""
+    X = np.asarray(X, dtype=float)
+    acc = np.zeros(X.shape[0])
+    for tree in trees:
+        acc += tree.value_[tree_apply(tree, X)]
+    return acc / len(trees)
+
+
+def partial_dependence(
+    forest,
+    X: np.ndarray,
+    feature: int,
+    grid_resolution: int = 20,
+    feature_name: str | None = None,
+    percentile_clip: tuple[float, float] = (0.0, 100.0),
+    confidence: float | None = None,
+) -> PartialDependence:
+    """Partial dependence of a forest, one forest walk per grid point
+    and, for the band, one tree walk per (grid point, tree)."""
+    X = np.asarray(X, dtype=float)
+    grid = _grid(X[:, feature], grid_resolution, percentile_clip)
+    values = np.empty(grid.size)
+    lower = upper = None
+    if confidence is not None:
+        lower = np.empty(grid.size)
+        upper = np.empty(grid.size)
+        alpha = (1.0 - confidence) / 2.0
+    work = X.copy()
+    for i, v in enumerate(grid):
+        work[:, feature] = v
+        if confidence is not None:
+            per_tree = np.array([
+                t.value_[tree_apply(t, work)].mean() for t in forest.trees_
+            ])
+            values[i] = float(per_tree.mean())
+            lower[i] = float(np.quantile(per_tree, alpha))
+            upper[i] = float(np.quantile(per_tree, 1.0 - alpha))
+        else:
+            values[i] = float(np.mean(forest_predict(forest.trees_, work)))
+    mono = spearman_rank_correlation(grid, values) if grid.size > 1 else 0.0
+    return PartialDependence(
+        feature=feature_name if feature_name is not None else f"x{feature}",
+        grid=grid, values=values, monotonicity=mono, lower=lower, upper=upper,
+    )
 
 
 class ReferenceRegressionTree:
@@ -273,8 +343,4 @@ class ReferenceRandomForestRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            acc += tree.predict(X)
-        return acc / len(self.trees_)
+        return forest_predict(self.trees_, X)

@@ -36,6 +36,22 @@ tree, with the permutations themselves drawn as a single matrix op
 (``Generator.permuted``), instead of one predict call per variable. The
 pre-vectorization implementation is preserved in
 :mod:`repro.ml._reference` as the oracle and benchmark baseline.
+
+Packed prediction
+-----------------
+
+Wherever the tree list is set (fit, refit, incremental restore, a
+servable artifact's load), the trees' node arrays are concatenated into
+one set of forest arrays and the per-tree objects are dropped, so the
+nodes are held once; ``trees_`` rebuilds the trees, as views into the
+packed arrays, when something asks for them.
+:meth:`RandomForestRegressor.predict` runs one
+:func:`~repro.ml.tree.descend` over every (tree, row) pair and sums the
+leaf values down the tree axis in tree order: the same additions in the
+same order as the per-tree ``acc += tree.predict(X)`` loop it replaced
+(kept as :func:`repro.ml._reference.forest_predict`), so predictions
+are bit-identical. Rows are taken in chunks of at most ``_PAIR_CHUNK``
+(tree, row) pairs to bound the descent's memory.
 """
 
 from __future__ import annotations
@@ -51,13 +67,26 @@ from repro.parallel import (
 )
 
 from .metrics import explained_variance, mse
-from .tree import RegressionTree
+from .tree import RegressionTree, descend
 
 __all__ = ["RandomForestRegressor"]
 
 # Cap on the stacked permuted-OOB matrix built per tree for the batched
 # importance predict; larger jobs fall back to per-variable chunks.
 _IMPORTANCE_BATCH_BYTES = 16 << 20
+
+# Most (tree, row) pairs one packed descent advances at once. A 300-tree,
+# 8-feature partial-dependence pass (3.1M pairs) took 0.33 s and peaked
+# at 6.8 MB traced with 2**15-pair chunks, 0.50 s and 28 MB at 2**18,
+# and 250 MB at 2**22: small chunks keep the descent's index arrays in
+# cache as well as bounding its memory.
+_PAIR_CHUNK = 1 << 15
+
+#: The per-node arrays a forest keeps concatenated, one copy for all
+#: its trees; all but ``n_node_samples_`` are read by the descent.
+_NODE_ARRAYS = (
+    "feature_", "threshold_", "left_", "right_", "value_", "n_node_samples_",
+)
 
 
 def _permutation_deltas(
@@ -204,6 +233,25 @@ class RandomForestRegressor:
         #: the only way fit/refit consume the generator, so (seed,
         #: spawned) pins its position exactly.
         self._spawned = 0
+        self._trees: list[RegressionTree] | None = None
+        #: Per-tree impurity decreases, one row per tree, once packed.
+        self._impurity: np.ndarray | None = None
+
+    @property
+    def trees_(self) -> list[RegressionTree]:
+        """The fitted trees, in fit order.
+
+        Once packed, a forest holds no per-tree objects, only its packed
+        arrays; the trees are rebuilt from them, as views, the first
+        time they are asked for.
+        """
+        if self._trees is None:
+            self._trees = self._unpack()
+        return self._trees
+
+    @trees_.setter
+    def trees_(self, trees: list[RegressionTree]) -> None:
+        self._trees = trees
 
     # -- fitting ---------------------------------------------------------
 
@@ -300,8 +348,9 @@ class RandomForestRegressor:
         contributed trees, which is what keeps fit/refit sequences
         bit-identical at any ``n_jobs``.
         """
+        self._pack()
         n, p = X.shape
-        T = len(self.trees_)
+        T = self._starts.size
         oob_sum = np.zeros(n)
         oob_count = np.zeros(n, dtype=np.intp)
         # Per-tree accumulators for permutation importance (Breiman 2001):
@@ -345,9 +394,65 @@ class RandomForestRegressor:
             self.importance_raw_ = None
 
         purity = np.zeros(p)
-        for tree in self.trees_:
-            purity += tree.impurity_decrease_
+        for row in self._impurity:
+            purity += row
         self.impurity_importance_ = purity / T
+
+    def _pack(self) -> None:
+        """Move the trees into the packed arrays and drop the tree objects.
+
+        The node arrays are concatenated, the impurity decreases stacked
+        one row per tree; :attr:`trees_` rebuilds the trees as views.
+        Called wherever the tree list is set, never lazily on a predict
+        path, so concurrent predicts only ever read finished arrays.
+        """
+        trees = self._trees
+        sizes = [tree.n_nodes for tree in trees]
+        self._starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        self._nodes = {
+            name: np.concatenate([getattr(tree, name) for tree in trees])
+            for name in _NODE_ARRAYS
+        }
+        self._impurity = np.stack([tree.impurity_decrease_ for tree in trees])
+        self._trees = None
+
+    @classmethod
+    def from_packed(
+        cls, nodes: RegressionTree, sizes: list[int],
+        feature_names: list[str],
+    ) -> "RandomForestRegressor":
+        """A predict-capable forest over trees stored back to back.
+
+        ``nodes`` holds every tree's node arrays concatenated (tree
+        ``t`` has ``sizes[t]`` nodes, children local to the tree); they
+        become the forest's packed arrays as they are. No per-tree
+        objects are built until :attr:`trees_` is read, so a served
+        forest costs its node arrays and little more. Impurity decreases
+        do not travel with the nodes; rebuilt trees carry zeros.
+        """
+        forest = cls(n_trees=len(sizes))
+        forest.n_features_ = nodes.n_features_
+        forest.feature_names_ = list(feature_names)
+        forest._starts = np.cumsum([0] + list(sizes[:-1]), dtype=np.intp)
+        forest._nodes = {name: getattr(nodes, name) for name in _NODE_ARRAYS}
+        return forest
+
+    def _unpack(self) -> list[RegressionTree]:
+        """Per-tree views into the packed arrays (see :attr:`trees_`)."""
+        nodes = self._nodes  # AttributeError while unfitted, like trees_
+        ends = np.append(self._starts[1:], nodes["feature_"].size)
+        trees = []
+        for t, (lo, hi) in enumerate(zip(self._starts, ends)):
+            tree = RegressionTree()
+            tree.n_features_ = self.n_features_
+            for name in _NODE_ARRAYS:
+                setattr(tree, name, nodes[name][lo:hi])
+            tree.impurity_decrease_ = (
+                np.zeros(self.n_features_) if self._impurity is None
+                else self._impurity[t]
+            )
+            trees.append(tree)
+        return trees
 
     def refit(
         self,
@@ -370,9 +475,7 @@ class RandomForestRegressor:
         fraction of rows that are new (at least 1). A refit with no new
         rows and no explicit tree count is a no-op.
         """
-        if not getattr(self, "trees_", None) or not getattr(
-            self, "_generations", None
-        ):
+        if not getattr(self, "_generations", None):
             raise RuntimeError("fit the forest before refit()")
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
@@ -395,7 +498,7 @@ class RandomForestRegressor:
         if n_new_trees is None:
             if n == n_prev:
                 return self
-            n_new_trees = max(1, round(len(self.trees_) * (n - n_prev) / n))
+            n_new_trees = max(1, round(self.n_trees * (n - n_prev) / n))
         if n_new_trees < 1:
             raise ValueError("n_new_trees must be >= 1")
 
@@ -419,14 +522,53 @@ class RandomForestRegressor:
     # -- prediction ------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Average of the per-tree predictions."""
+        """Average of the per-tree predictions (one packed descent)."""
         X = self._validate_predict_input(X)
-        if X.shape[0] == 0:
-            return np.zeros(0)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            acc += tree.predict(X)
-        return acc / len(self.trees_)
+        out = np.empty(X.shape[0])
+        T = self._starts.size
+        for lo, hi, leaf in self._leaf_values(X, max(1, _PAIR_CHUNK // T)):
+            # A running sum down the tree axis makes the additions of
+            # ``acc += tree.predict(X)`` tree by tree, in that order;
+            # ``+ 0.0`` gives the +0.0 a zeroed accumulator would where
+            # every leaf value is -0.0.
+            out[lo:hi] = np.add.accumulate(leaf, axis=0, out=leaf)[-1] + 0.0
+        return out / T
+
+    def tree_block_means(self, X: np.ndarray, block: int) -> np.ndarray:
+        """Each tree's mean prediction over each run of ``block`` rows.
+
+        ``X`` holds whole blocks of ``block`` rows. Returns an
+        ``(n_blocks, n_trees)`` matrix whose entry ``(b, t)`` equals
+        ``trees_[t].predict(X[b * block:(b + 1) * block]).mean()`` bit
+        for bit — what a partial-dependence confidence band is drawn
+        from. Chunks hold whole blocks, at least one.
+        """
+        X = self._validate_predict_input(X)
+        if block < 1 or X.shape[0] % block:
+            raise ValueError(
+                f"X has {X.shape[0]} rows, not whole blocks of {block}"
+            )
+        T = self._starts.size
+        out = np.empty((X.shape[0] // block, T))
+        per_chunk = max(1, _PAIR_CHUNK // (T * block)) * block
+        for lo, hi, leaf in self._leaf_values(X, per_chunk):
+            sums = np.add.reduce(leaf.reshape(T, -1, block), axis=2)
+            out[lo // block : hi // block] = (sums / block).T
+        return out
+
+    def _leaf_values(self, X: np.ndarray, rows_per_chunk: int):
+        """Yield ``(lo, hi, leaf)``: ``leaf[t, i]`` is tree ``t``'s
+        value for row ``lo + i``, over chunks of ``rows_per_chunk``."""
+        nodes = self._nodes
+        T = self._starts.size
+        for lo in range(0, X.shape[0], rows_per_chunk):
+            chunk = X[lo : lo + rows_per_chunk]
+            leaves = descend(
+                nodes["feature_"], nodes["threshold_"], nodes["left_"],
+                nodes["right_"], self._starts, chunk,
+            )
+            leaf = nodes["value_"].take(leaves).reshape(T, chunk.shape[0])
+            yield lo, lo + chunk.shape[0], leaf
 
     def _validate_predict_input(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -446,13 +588,11 @@ class RandomForestRegressor:
         """Batched :meth:`predict` over many query matrices.
 
         Stacks the queries into one feature matrix and runs a single
-        forest pass — one ``tree.predict`` per tree for the whole batch
-        (reusing the iterative :meth:`RegressionTree.apply` descent)
-        instead of one full forest walk per query — then splits the
-        averaged predictions back per query. Bit-identical to
-        ``[self.predict(q) for q in queries]``: prediction is an
-        elementwise per-row map and the per-tree accumulation order is
-        unchanged.
+        packed forest pass for the whole batch instead of one per query,
+        then splits the averaged predictions back per query.
+        Bit-identical to ``[self.predict(q) for q in queries]``:
+        prediction is an elementwise per-row map and the per-tree
+        accumulation order is unchanged.
         """
         mats = [self._validate_predict_input(q) for q in queries]
         if not mats:

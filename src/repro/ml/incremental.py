@@ -253,12 +253,12 @@ def fit_from_repo(
             if n_prev == y.size:
                 info.update(path="unchanged", n_new_rows=0, n_new_trees=0)
             else:
-                before = len(forest.trees_)
+                before = forest.n_trees
                 forest.refit(X, y)
                 info.update(
                     path="resumed",
                     n_new_rows=int(y.size - n_prev),
-                    n_new_trees=len(forest.trees_) - before,
+                    n_new_trees=forest.n_trees - before,
                 )
 
     if forest is None:

@@ -15,9 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs import span
+
+from .forest import _PAIR_CHUNK
 from .metrics import spearman_rank_correlation
 
-__all__ = ["PartialDependence", "partial_dependence", "dependence_direction"]
+__all__ = [
+    "PartialDependence",
+    "partial_dependence",
+    "dependence_direction",
+]
 
 
 @dataclass
@@ -56,20 +63,43 @@ class PartialDependence:
         return self.upper - self.lower
 
 
+def _grid(
+    col: np.ndarray,
+    grid_resolution: int,
+    percentile_clip: tuple[float, float],
+) -> np.ndarray:
+    """Grid values at evenly spaced quantiles of one feature column."""
+    lo, hi = np.percentile(col, percentile_clip)
+    quantiles = np.linspace(*percentile_clip, grid_resolution)
+    grid = np.unique(np.percentile(col, quantiles))
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    if grid.size < 2:  # near-constant feature: flat dependence
+        grid = np.array([col.min(), col.max()] if np.ptp(col) > 0 else [col[0]])
+    return grid
+
+
 def partial_dependence(
     model,
     X: np.ndarray,
-    feature: int,
+    feature,
     grid_resolution: int = 20,
-    feature_name: str | None = None,
+    feature_name=None,
     percentile_clip: tuple[float, float] = (0.0, 100.0),
     confidence: float | None = None,
-) -> PartialDependence:
+):
     """Average model prediction as one feature sweeps a value grid.
 
     For each grid value ``v`` the feature column is overwritten with
     ``v`` on a copy of the full dataset and the model's predictions are
     averaged — the standard Friedman partial-dependence estimator.
+
+    Every (feature, grid value) copy of ``X`` is stacked and predicted
+    in one pass, cut into chunks of whole copies of at most about
+    ``_PAIR_CHUNK`` (tree, row) pairs; each copy's mean prediction is
+    one grid point's value. Forest prediction maps rows independently,
+    so the result is bit-identical to walking the grid point by point
+    (:func:`repro.ml._reference.partial_dependence`). A confidence
+    band's per-tree block means come from the same pass.
 
     Parameters
     ----------
@@ -78,63 +108,94 @@ def partial_dependence(
     X:
         Background dataset (typically the training predictors).
     feature:
-        Column index to sweep.
+        Column index to sweep, or a sequence of them: then a list of
+        results comes back, one per feature in order, from one pass.
     grid_resolution:
         Number of grid points, taken at evenly spaced quantiles of the
         observed feature values (so empty value ranges are not probed).
+    feature_name:
+        Name of the feature (a list of names for a sequence of
+        features); ``x<index>`` when omitted.
     percentile_clip:
         Percentile window of the feature's empirical distribution used
         to bound the grid, e.g. ``(5, 95)`` to avoid extrapolating tails.
     confidence:
         When set (e.g. 0.9) and the model is a tree ensemble (exposes
-        ``trees_``), a per-grid-point confidence band is computed from
-        the spread of the individual trees' averaged predictions — the
-        Section 7 "confidence intervals into the partial dependence
-        plots" improvement.
+        ``tree_block_means``), a per-grid-point confidence band is
+        computed from the spread of the individual trees' averaged
+        predictions — the Section 7 "confidence intervals into the
+        partial dependence plots" improvement.
     """
+    if isinstance(feature, (int, np.integer)):
+        return partial_dependence(
+            model, X, [feature], grid_resolution=grid_resolution,
+            feature_name=None if feature_name is None else [feature_name],
+            percentile_clip=percentile_clip, confidence=confidence,
+        )[0]
+    features, feature_names = list(feature), feature_name
     if confidence is not None and not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
-    if not 0 <= feature < X.shape[1]:
-        raise ValueError(f"feature index {feature} out of range")
+    for j in features:
+        if not 0 <= j < X.shape[1]:
+            raise ValueError(f"feature index {j} out of range")
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
+    if not features:
+        return []
+    if feature_names is None:
+        feature_names = [f"x{j}" for j in features]
 
-    col = X[:, feature]
-    lo, hi = np.percentile(col, percentile_clip)
-    quantiles = np.linspace(*percentile_clip, grid_resolution)
-    grid = np.unique(np.percentile(col, quantiles))
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    if grid.size < 2:  # near-constant feature: flat dependence
-        grid = np.array([col.min(), col.max()] if np.ptp(col) > 0 else [col[0]])
+    grids = [_grid(X[:, j], grid_resolution, percentile_clip) for j in features]
+    blocks = [(j, v) for j, grid in zip(features, grids) for v in grid]
+    n = X.shape[0]
+    n_trees = getattr(model, "n_trees", 0)
+    band = confidence is not None and hasattr(model, "tree_block_means")
+    values = np.empty(len(blocks))
+    per_tree = np.empty((len(blocks), n_trees)) if band else None
+    # Stack whole blocks, at most about _PAIR_CHUNK (tree, row) pairs
+    # at a time, so the stacked copies never outgrow one descent chunk.
+    per_chunk = max(1, _PAIR_CHUNK // (n * max(n_trees, 1)))
+    with span(
+        "ml.partial_dependence",
+        n_features=len(grids),
+        grid_points=len(blocks),
+        n_rows=len(blocks) * n,
+        n_trees=n_trees,
+    ):
+        for lo in range(0, len(blocks), per_chunk):
+            part = blocks[lo : lo + per_chunk]
+            stacked = np.tile(X, (len(part), 1))
+            for b, (j, v) in enumerate(part):
+                stacked[b * n : (b + 1) * n, j] = v
+            if band:
+                per_tree[lo : lo + len(part)] = model.tree_block_means(stacked, n)
+            else:
+                preds = model.predict(stacked).reshape(len(part), n)
+                values[lo : lo + len(part)] = preds.mean(axis=1)
+        lower = upper = None
+        if band:
+            values = per_tree.mean(axis=1)
+            alpha = (1.0 - confidence) / 2.0
+            lower, upper = np.quantile(per_tree, [alpha, 1.0 - alpha], axis=1)
 
-    values = np.empty(grid.size)
-    lower = upper = None
-    trees = getattr(model, "trees_", None) if confidence is not None else None
-    if trees:
-        lower = np.empty(grid.size)
-        upper = np.empty(grid.size)
-        alpha = (1.0 - confidence) / 2.0
-
-    work = X.copy()
-    for i, v in enumerate(grid):
-        work[:, feature] = v
-        if trees:
-            per_tree = np.array([t.predict(work).mean() for t in trees])
-            values[i] = float(per_tree.mean())
-            lower[i] = float(np.quantile(per_tree, alpha))
-            upper[i] = float(np.quantile(per_tree, 1.0 - alpha))
-        else:
-            values[i] = float(np.mean(model.predict(work)))
-
-    mono = spearman_rank_correlation(grid, values) if grid.size > 1 else 0.0
-    name = feature_name if feature_name is not None else f"x{feature}"
-    return PartialDependence(
-        feature=name, grid=grid, values=values, monotonicity=mono,
-        lower=lower, upper=upper,
-    )
+    out = []
+    lo = 0
+    for grid, name in zip(grids, feature_names):
+        block = slice(lo, lo + grid.size)
+        lo += grid.size
+        mono = (
+            spearman_rank_correlation(grid, values[block])
+            if grid.size > 1 else 0.0
+        )
+        out.append(PartialDependence(
+            feature=name, grid=grid, values=values[block], monotonicity=mono,
+            lower=None if lower is None else lower[block],
+            upper=None if upper is None else upper[block],
+        ))
+    return out
 
 
 def dependence_direction(

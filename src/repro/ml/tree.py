@@ -17,9 +17,11 @@ per-feature reference implementation
 (:class:`repro.ml._reference.ReferenceRegressionTree`) under the same
 RNG state — a property the equivalence tests pin.
 
-Prediction is an iterative array-based descent: a node-index array is
-advanced one tree level per iteration for all rows at once
-(:meth:`RegressionTree.apply`), with no per-sample recursion.
+Prediction is an iterative array-based descent (:func:`descend`): a
+node-index array is advanced one tree level per iteration for every
+(tree, row) pair at once, with no per-sample recursion.
+:meth:`RegressionTree.apply` is its one-tree case; the forest runs it
+over all of its trees' concatenated node arrays in one pass.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 
-__all__ = ["RegressionTree", "tree_to_dict", "tree_from_dict"]
+__all__ = ["RegressionTree", "descend", "tree_to_dict", "tree_from_dict"]
 
 _LEAF = -1
 
@@ -181,6 +183,56 @@ def _best_splits_for_block(
     sse_best = np.where(has_split, sse[best, cols], np.inf)
     thr_best = np.where(has_split, thr, np.nan)
     return sse_best, thr_best, constant, has_split
+
+
+#: Root offset of a lone tree: its node arrays start at index 0.
+_ROOT = np.zeros(1, dtype=np.intp)
+
+
+def descend(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    starts: np.ndarray,
+    X: np.ndarray,
+) -> np.ndarray:
+    """Leaf reached by every (tree, row) pair, all pairs advanced at once.
+
+    The node arrays hold one or more trees back to back; tree ``t``'s
+    nodes start at ``starts[t]`` and its ``left``/``right`` children are
+    indices local to the tree. Returns the global leaf index of pair
+    ``(t, i)`` at position ``t * len(X) + i`` — tree-major, so the
+    result reshapes to ``(len(starts), len(X))``.
+
+    Each iteration moves every still-internal pair one level down, so
+    the loop runs as many times as the deepest path is long, whatever
+    the number of trees or rows. A pair meets the same comparisons the
+    per-tree descent makes, so it lands on the same leaf.
+    """
+    n, p = X.shape
+    node = np.repeat(starts, n)
+    # The still-internal pairs: position, current node, row offset into
+    # the flattened X and (unless every tree starts at 0) the tree's
+    # start. ``take`` with an index array is several times cheaper than
+    # boolean-mask indexing.
+    pos = np.flatnonzero(feature.take(node) != _LEAF)
+    cur = node.take(pos)
+    base = cur if starts.any() else None
+    xoff = (pos % n) * p
+    flat = X.ravel()
+    while pos.size:
+        go_left = flat.take(xoff + feature.take(cur)) <= threshold.take(cur)
+        cur = np.where(go_left, left.take(cur), right.take(cur))
+        if base is not None:
+            cur += base
+        node[pos] = cur
+        keep = np.flatnonzero(feature.take(cur) != _LEAF)
+        if keep.size < pos.size:
+            pos, cur, xoff = pos.take(keep), cur.take(keep), xoff.take(keep)
+            if base is not None:
+                base = base.take(keep)
+    return node
 
 
 class RegressionTree:
@@ -339,26 +391,16 @@ class RegressionTree:
     # -- prediction ------------------------------------------------------
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index reached by every row of ``X`` (vectorized descent).
-
-        Maintains a node-index array and a shrinking active-row index
-        array; each iteration advances every still-internal row one
-        level, so the loop runs ``depth`` times regardless of row count.
-        """
+        """Leaf index reached by every row of ``X`` (vectorized descent)."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError(
                 f"X must be 2-D with {self.n_features_} columns, got {X.shape}"
             )
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        idx = np.flatnonzero(self.feature_[node] != _LEAF)
-        while idx.size:
-            cur = node[idx]
-            go_left = X[idx, self.feature_[cur]] <= self.threshold_[cur]
-            nxt = np.where(go_left, self.left_[cur], self.right_[cur])
-            node[idx] = nxt
-            idx = idx[self.feature_[nxt] != _LEAF]
-        return node
+        return descend(
+            self.feature_, self.threshold_, self.left_, self.right_,
+            _ROOT, X,
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted response: mean of the training responses in the leaf."""

@@ -64,12 +64,22 @@ def forest_from_dict(data: dict) -> RandomForestRegressor:
     trees = data["trees"]
     if not trees:
         raise ValueError("fit artifact has no trees")
-    n_features = int(data["n_features"])
-    forest = RandomForestRegressor(n_trees=len(trees))
-    forest.n_features_ = n_features
-    forest.feature_names_ = list(data["feature_names"])
-    forest.trees_ = [_tree_from_dict(t, n_features) for t in trees]
-    return forest
+    # Parse every tree's node lists back to back, straight into the
+    # forest's packed arrays, here at load: the threaded serve path
+    # only ever reads them.
+    sizes = [len(t["feature"]) for t in trees]
+    merged = {
+        key: [v for t in trees for v in t[key]]
+        for key in ("feature", "threshold", "left", "right", "value")
+    }
+    merged["n_node_samples"] = [
+        v for t, size in zip(trees, sizes)
+        for v in t.get("n_node_samples", [0] * size)
+    ]
+    nodes = _tree_from_dict(merged, int(data["n_features"]))
+    return RandomForestRegressor.from_packed(
+        nodes, sizes, data["feature_names"]
+    )
 
 
 @dataclass

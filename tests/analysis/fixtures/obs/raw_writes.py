@@ -1,7 +1,4 @@
-"""Fixture: non-atomic artifact writes in a persistence module (BF404).
-
-The path component ``obs/`` puts this file in BF404's scope.
-"""
+"""Fixture: non-atomic artifact writes (BF404)."""
 
 import json
 from pathlib import Path

@@ -131,9 +131,39 @@ class TestBF404RawWrites:
         code = "fh = open(path)"
         assert rules_fired(code, "src/repro/obs/log.py") == set()
 
-    def test_write_outside_persistence_paths_clean(self):
-        code = "fh = open(path, 'w')"
+    @pytest.mark.parametrize("module", ["cli.py", "bench.py", "viz/html.py"])
+    def test_write_outside_old_persistence_dirs_flagged(self, module):
+        code = "fh = open(path, 'w')\nPath(path).write_text(text)"
+        findings = lint_snippet(code, f"src/repro/{module}")
+        assert [f.rule for f in findings] == ["BF404", "BF404"]
+
+    def test_atomic_write_outside_old_persistence_dirs_clean(self):
+        code = """
+        from repro.io import atomic_write
+        atomic_write(path, text)
+        with open(path) as fh:
+            fh.read()
+        """
         assert rules_fired(code, "src/repro/cli.py") == set()
+
+    def test_durable_io_module_exempt(self):
+        code = "fh = open(tmp, 'wb')"
+        assert rules_fired(code, "src/repro/io.py") == set()
+        # Only the package's own durable writer, not any module named io.
+        assert rules_fired(code, "src/repro/core/io.py") == {"BF404"}
+
+    def test_pass_covers_modules_off_the_pipeline(self, tmp_path):
+        root = tmp_path / "repro"
+        (root / "ml").mkdir(parents=True)
+        (root / "__init__.py").write_text("")
+        (root / "ml" / "forest.py").write_text("x = 1\n")
+        (root / "cli.py").write_text(
+            "import time\nt = time.time()\nopen(path, 'w')\n"
+        )
+        findings = lint_determinism(root, allowlist=None)
+        # BF404 reaches the unreachable CLI; BF402 (clocks) does not.
+        assert [(f.rule, Path(f.subject.split(":")[0]).name)
+                for f in findings] == [("BF404", "cli.py")]
 
     def test_mode_keyword_detected(self):
         code = "fh = open(path, mode='w')"
