@@ -24,7 +24,7 @@ correctness layer:
   cost/budget) run by ``repro lint --plan`` and ``Campaign.run``;
 * :mod:`~repro.analysis.schemas` — versioned schema registry for every
   on-disk artifact format, behind ``repro lint --artifacts`` and
-  :meth:`ProfileRepository.verify_all`;
+  :meth:`ProfileRepository.verify_all` (each campaign's sidecars);
 * :mod:`~repro.analysis.runner` — whole-tree orchestration behind the
   ``repro lint`` CLI and the CI gate.
 

@@ -18,8 +18,6 @@ tag                      written by
 ``repro-fit-index/1``    :mod:`repro.serve.registry` (version index)
 ``repro-repo/1``         :mod:`repro.profiling.repository`
                          (``repo.json`` layout marker)
-``repro-shard/1``        :mod:`repro.profiling.repository`
-                         (per-bucket ``shard.json`` manifest)
 ``repro-matrix/1``       :mod:`repro.profiling.index`
                          (columnar counter-matrix header)
 ``repro-forest-state/1``  :mod:`repro.ml.incremental`
@@ -252,15 +250,6 @@ SCHEMAS: dict[str, ArtifactSchema] = {
             fields=(
                 _f("schema", str),
                 _f("layout", int),
-            ),
-        ),
-        ArtifactSchema(
-            tag="repro-shard/1",
-            kind="json",
-            description="per-bucket shard manifest (shard.json)",
-            fields=(
-                _f("schema", str),
-                _f("campaigns", dict),
             ),
         ),
         ArtifactSchema(

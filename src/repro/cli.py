@@ -943,8 +943,8 @@ def cmd_repo(args) -> int:
         raise SystemExit(f"cannot open {args.root}: {exc}")
     if args.action == "list":
         metas = repo.list_campaigns()
-        rows = [(m.get("kernel", "?"), m.get("arch", "?"),
-                 m.get("tag") or "-", m.get("n_runs", "?")) for m in metas]
+        rows = [(m["kernel"], m["arch"], m["tag"] or "-", m["n_runs"])
+                for m in metas]
         _emit(args, {"campaigns": metas},
               table(["kernel", "arch", "tag", "runs"], rows,
                     title=f"repository {args.root}"))
@@ -964,7 +964,7 @@ def cmd_repo(args) -> int:
         return 0
 
     # action == "verify"
-    findings = repo.verify_all(full=args.full)
+    findings = repo.verify_all()
     damaged = {
         name: probs for name, probs in findings.items()
         if any("legacy" not in p for p in probs)
@@ -1535,9 +1535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("root", help="repository root directory")
     p.add_argument("--quarantine", action="store_true",
                    help="(verify) move damaged campaigns into _quarantine/")
-    p.add_argument("--full", action="store_true",
-                   help="(verify) re-hash every campaign, ignoring the "
-                   "verified-snapshot fast path")
     _add_format(p)
 
     p = sub.add_parser(

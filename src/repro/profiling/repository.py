@@ -10,13 +10,12 @@ safely round-trippable.
 
 The on-disk layout is sharded (layout 2, see docs/repository.md):
 campaigns live under ``shards/<xx>/<dirname>/`` where ``xx`` is the
-first two hex chars of SHA-256(dirname) (256 buckets), and each bucket
-carries a ``shard.json`` manifest caching campaign metadata plus
-file-stat snapshots. Listings are served from the shard manifests and
-``verify_all`` re-hashes only campaigns whose files changed since their
-last clean verify — O(changed), not O(all). A root that is not a
-layout-2 repository (a flat tree of campaign directories, or a
-``repo.json`` declaring another layout) is refused, never rewritten.
+first two hex chars of SHA-256(dirname) (256 buckets). The campaign
+files are the only source of truth: listings read every ``meta.json``
+and ``verify_all`` re-hashes every campaign on every call, so damage
+that leaves a file's size and mtime alone is still found. A root that
+is not a layout-2 repository (a flat tree of campaign directories, or
+a ``repo.json`` declaring another layout) is refused, never rewritten.
 
 Writes are torn-proof: every file goes through
 :func:`repro.io.atomic_write` (temp file + fsync + rename), so a crash
@@ -69,17 +68,12 @@ _META_KEYS = ("kernel", "arch", "family", "tag", "n_runs", "counters",
               "characteristics", "machine_metrics")
 #: Layout marker at the root of a v2 repository.
 _REPO_MARKER = "repo.json"
-#: Per-bucket manifest file inside ``shards/<xx>/``.
-_SHARD_MANIFEST = "shard.json"
-#: Schema tags (registered in repro.analysis.schemas).
+#: Schema tag (registered in repro.analysis.schemas).
 REPO_SCHEMA = "repro-repo/1"
-SHARD_SCHEMA = "repro-shard/1"
 #: Sub-directory verify-failed campaigns are moved into (directly under
 #: the root). Its campaigns sit outside the campaign enumeration, so
 #: listing/loading never sees them.
 _QUARANTINE = "_quarantine"
-#: Files covered by shard-manifest stat snapshots.
-_TRACKED = (_META, _DATA, _MANIFEST)
 
 
 class RepositoryIntegrityError(ValueError):
@@ -90,12 +84,9 @@ class RepositoryIntegrityError(ValueError):
     tests matching "corrupt" — keep working."""
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256(data: str | bytes) -> str:
+    raw = data.encode() if isinstance(data, str) else data
+    return hashlib.sha256(raw).hexdigest()
 
 
 def _read_text(path: Path) -> str:
@@ -107,14 +98,6 @@ def _read_text(path: Path) -> str:
             f"repository corrupt: {path.parent.name}/{path.name} is not "
             f"valid UTF-8 ({exc}); see ProfileRepository.quarantine"
         ) from None
-
-
-def _stat_of(path: Path) -> list[int]:
-    """``[size, mtime_ns]`` — the cheap change detector shard manifests
-    cache. A same-size same-mtime rewrite evades it (classic mtime
-    caveat); ``verify_all(full=True)`` re-hashes everything."""
-    st = path.stat()
-    return [st.st_size, st.st_mtime_ns]
 
 
 class ProfileRepository:
@@ -160,7 +143,7 @@ class ProfileRepository:
         return self.root / SHARD_DIR / shard_of(dirname) / dirname
 
     def _campaign_dirnames(self) -> list[str]:
-        """Every campaign dirname on disk (ground truth, sorted)."""
+        """Every campaign dirname on disk, sorted."""
         shards = self.root / SHARD_DIR
         if not shards.is_dir():
             return []
@@ -171,93 +154,6 @@ class ProfileRepository:
             for d in bucket.iterdir()
             if d.is_dir()
         )
-
-    # -- shard manifests -----------------------------------------------------
-
-    def _shard_manifest_path(self, dirname: str) -> Path:
-        return self.root / SHARD_DIR / shard_of(dirname) / _SHARD_MANIFEST
-
-    @staticmethod
-    def _read_shard(path: Path) -> dict:
-        """A bucket's manifest; a damaged one degrades to empty (the
-        manifest is a cache — disk directories stay ground truth)."""
-        if not path.exists():
-            return {"schema": SHARD_SCHEMA, "campaigns": {}}
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return {"schema": SHARD_SCHEMA, "campaigns": {}}
-        if data.get("schema") != SHARD_SCHEMA or not isinstance(
-            data.get("campaigns"), dict
-        ):
-            return {"schema": SHARD_SCHEMA, "campaigns": {}}
-        return data
-
-    def _shard_cache(self) -> dict[str, dict]:
-        """dirname → shard-manifest entry, merged over every bucket."""
-        out: dict[str, dict] = {}
-        shards = self.root / SHARD_DIR
-        if not shards.is_dir():
-            return out
-        for path in shards.glob(f"*/{_SHARD_MANIFEST}"):
-            out.update(self._read_shard(path).get("campaigns", {}))
-        return out
-
-    def _stat_snapshot(self, dirname: str) -> dict[str, list[int]]:
-        cdir = self._campaign_dir(dirname)
-        return {
-            name: _stat_of(cdir / name)
-            for name in _TRACKED
-            if (cdir / name).exists()
-        }
-
-    def _stats_match(self, dirname: str, snapshot: dict | None) -> bool:
-        if not snapshot:
-            return False
-        cdir = self._campaign_dir(dirname)
-        for name in _TRACKED:
-            path = cdir / name
-            want = snapshot.get(name)
-            if want is None or not path.exists():
-                return False
-            if _stat_of(path) != list(want):
-                return False
-        return True
-
-    def _update_shard_entry(
-        self, dirname: str, *, meta: dict | None, verified: dict | None
-    ) -> None:
-        path = self._shard_manifest_path(dirname)
-        shard = self._read_shard(path)
-        shard["campaigns"][dirname] = {
-            "meta": meta,
-            "stat": self._stat_snapshot(dirname),
-            "verified": verified,
-        }
-        atomic_write(path, json.dumps(shard, indent=2, sort_keys=True))
-
-    def _drop_shard_entry(self, dirname: str) -> None:
-        path = self._shard_manifest_path(dirname)
-        shard = self._read_shard(path)
-        if dirname in shard["campaigns"]:
-            del shard["campaigns"][dirname]
-            atomic_write(path, json.dumps(shard, indent=2, sort_keys=True))
-
-    def _record_verified(self, snapshots: dict[str, dict]) -> None:
-        """Batch-record clean-verify snapshots, one write per bucket."""
-        by_bucket: dict[Path, dict[str, dict]] = {}
-        for dirname, snap in snapshots.items():
-            by_bucket.setdefault(
-                self._shard_manifest_path(dirname), {}
-            )[dirname] = snap
-        for path, group in by_bucket.items():
-            shard = self._read_shard(path)
-            for dirname, snap in group.items():
-                entry = shard["campaigns"].setdefault(
-                    dirname, {"meta": None, "stat": snap}
-                )
-                entry["verified"] = snap
-            atomic_write(path, json.dumps(shard, indent=2, sort_keys=True))
 
     # -- write ---------------------------------------------------------------
 
@@ -280,19 +176,10 @@ class ProfileRepository:
         together with the columnar matrix index. All files are written
         atomically (temp file + fsync + rename).
         """
-        if not result.records:
-            raise ValueError("refusing to save an empty campaign")
-        if key is None:
-            key = CampaignKey(kernel=result.kernel, arch=result.arch, tag=tag)
-        elif tag is not None:
-            raise TypeError("pass the tag inside the CampaignKey")
-        cdir = self._campaign_dir(key.dirname)
-        cdir.mkdir(parents=True, exist_ok=True)
-
+        key = self._key_of(result, tag, key, "save")
         counter_names = result.counter_names
         char_names = result.characteristic_names
         machine_names = sorted(result.records[0].machine)
-
         meta = {
             "kernel": result.kernel,
             "arch": result.arch,
@@ -303,43 +190,84 @@ class ProfileRepository:
             "characteristics": char_names,
             "machine_metrics": machine_names,
         }
-        meta_text = json.dumps(meta, indent=2)
         data_text = self._encode_rows(
             result.records, counter_names, char_names, machine_names,
             header=True,
         )
-
-        # Checksums are of the *intended* content; a write torn on the
-        # way to disk (crash, injected fault) therefore fails verify().
-        checksums = {_META: _sha256(meta_text), _DATA: _sha256(data_text)}
-        atomic_write(cdir / _META, meta_text)
-        atomic_write(cdir / _DATA, data_text)
-
-        index_text, index_payload = build_matrix_index(
-            result, data_text.encode()
+        cdir = self._commit(
+            key, meta, data_text,
+            build_matrix_index(result, data_text.encode()),
+            seed=seed, config=config or {},
         )
-        # Payload before header: a crash in between leaves a header/
-        # payload hash mismatch, i.e. a stale (rebuildable) index.
-        atomic_write(cdir / MATRIX_DATA, index_payload)
-        atomic_write(cdir / MATRIX_META, index_text)
-
-        manifest = build_manifest(
-            kernel=result.kernel,
-            arch=result.arch,
-            tag=key.tag,
-            seed=seed,
-            n_runs=len(result.records),
-            config=config or {},
-            checksums=checksums,
-        )
-        atomic_write(cdir / _MANIFEST, manifest.to_json())
-        self._update_shard_entry(key.dirname, meta=meta, verified=None)
         emit_event(
             "repository.save",
             campaign=key.dirname,
             n_runs=len(result.records),
         )
         return cdir
+
+    @staticmethod
+    def _key_of(
+        result: CampaignResult,
+        tag: str | None,
+        key: CampaignKey | None,
+        verb: str,
+    ) -> CampaignKey:
+        """``key``, else (kernel, arch, ``tag``); refuses empty results."""
+        if not result.records:
+            raise ValueError(f"refusing to {verb} an empty campaign")
+        if key is None:
+            return CampaignKey(kernel=result.kernel, arch=result.arch, tag=tag)
+        if tag is not None:
+            raise TypeError("pass the tag inside the CampaignKey")
+        return key
+
+    def _commit(
+        self,
+        key: CampaignKey,
+        meta: dict,
+        data_text: str,
+        index: tuple[str, bytes] | None,
+        *,
+        seed: int | None,
+        config: dict,
+    ) -> Path:
+        """Write a campaign in crash-safe order: ``meta.json``,
+        ``runs.csv``, the index pair (dropped when ``index`` is None),
+        ``manifest.json`` last — so a torn commit fails verify()."""
+        cdir = self._campaign_dir(key.dirname)
+        cdir.mkdir(parents=True, exist_ok=True)
+        meta_text = json.dumps(meta, indent=2)
+        # Checksums are of the *intended* content; a write torn on the
+        # way to disk (crash, injected fault) therefore fails verify().
+        checksums = {_META: _sha256(meta_text), _DATA: _sha256(data_text)}
+        atomic_write(cdir / _META, meta_text)
+        atomic_write(cdir / _DATA, data_text)
+        self._write_index(cdir, index)
+        manifest = build_manifest(
+            kernel=meta["kernel"],
+            arch=meta["arch"],
+            tag=key.tag,
+            seed=seed,
+            n_runs=meta["n_runs"],
+            config=config,
+            checksums=checksums,
+        )
+        atomic_write(cdir / _MANIFEST, manifest.to_json())
+        return cdir
+
+    @staticmethod
+    def _write_index(cdir: Path, index: tuple[str, bytes] | None) -> None:
+        """Persist a ``(header, payload)`` index pair, or drop a stale
+        one when ``index`` is None (matrix() rebuilds it lazily)."""
+        if index is None:
+            for name in (MATRIX_META, MATRIX_DATA):
+                (cdir / name).unlink(missing_ok=True)
+            return
+        # Payload before header: a crash in between leaves a header/
+        # payload hash mismatch, i.e. a stale (rebuildable) index.
+        atomic_write(cdir / MATRIX_DATA, index[1])
+        atomic_write(cdir / MATRIX_META, index[0])
 
     @staticmethod
     def _encode_rows(
@@ -391,12 +319,7 @@ class ProfileRepository:
         old rows. Saving a key that does not exist yet falls back to
         :meth:`save`.
         """
-        if not result.records:
-            raise ValueError("refusing to append an empty campaign")
-        if key is None:
-            key = CampaignKey(kernel=result.kernel, arch=result.arch, tag=tag)
-        elif tag is not None:
-            raise TypeError("pass the tag inside the CampaignKey")
+        key = self._key_of(result, tag, key, "append")
         if not self.has(key):
             return self.save(result, key=key, seed=seed, config=config)
 
@@ -429,37 +352,15 @@ class ProfileRepository:
             ) from None
         data_text = old_text + new_rows
         meta["n_runs"] += len(result.records)
-        meta_text = json.dumps(meta, indent=2)
-        checksums = {_META: _sha256(meta_text), _DATA: _sha256(data_text)}
-        atomic_write(cdir / _META, meta_text)
-        atomic_write(cdir / _DATA, data_text)
-
         loaded = self._load_index(key.dirname, expect_source=old_bytes)
-        if loaded is not None:
-            extended = extend_matrix_index(
-                loaded[0], loaded[1], result, data_text.encode()
-            )
-        else:
-            extended = None
-        if extended is not None:
-            atomic_write(cdir / MATRIX_DATA, extended[1])
-            atomic_write(cdir / MATRIX_META, extended[0])
-        else:
-            # Stale or absent index: drop it; matrix() rebuilds lazily.
-            for name in (MATRIX_META, MATRIX_DATA):
-                (cdir / name).unlink(missing_ok=True)
-
-        new_manifest = build_manifest(
-            kernel=result.kernel,
-            arch=result.arch,
-            tag=key.tag,
-            seed=seed if seed is not None else manifest.seed,
-            n_runs=meta["n_runs"],
-            config=config or dict(manifest.config),
-            checksums=checksums,
+        index = None if loaded is None else extend_matrix_index(
+            loaded[0], loaded[1], result, data_text.encode()
         )
-        atomic_write(cdir / _MANIFEST, new_manifest.to_json())
-        self._update_shard_entry(key.dirname, meta=meta, verified=None)
+        self._commit(
+            key, meta, data_text, index,
+            seed=seed if seed is not None else manifest.seed,
+            config=config or dict(manifest.config),
+        )
         emit_event(
             "repository.append",
             campaign=key.dirname,
@@ -471,32 +372,21 @@ class ProfileRepository:
     # -- read ----------------------------------------------------------------
 
     def list_campaigns(self) -> list[dict]:
-        """Metadata of every stored campaign.
+        """Metadata of every stored campaign, read from each ``meta.json``.
 
-        In the sharded layout the answer is served from the per-bucket
-        manifests whenever the cached entry's file stats still match the
-        disk — only changed campaigns are re-parsed. Campaigns whose
-        ``meta.json`` no longer parses are skipped with a warning (run
-        :meth:`verify`/:meth:`quarantine` on them) so one damaged
-        directory cannot take down enumeration of the rest.
+        A campaign whose ``meta.json`` does not parse or lacks a required
+        key is skipped with a warning (run :meth:`verify`/
+        :meth:`quarantine` on it), so one damaged directory cannot take
+        down enumeration of the rest.
         """
-        cache = self._shard_cache()
         out = []
         for dirname in self._campaign_dirnames():
             meta_path = self._campaign_dir(dirname) / _META
             if not meta_path.exists():
                 continue
-            entry = cache.get(dirname)
-            if (
-                entry is not None
-                and entry.get("meta") is not None
-                and entry.get("stat", {}).get(_META) == _stat_of(meta_path)
-            ):
-                out.append(entry["meta"])
-                continue
             try:
-                out.append(json.loads(_read_text(meta_path)))
-            except (json.JSONDecodeError, RepositoryIntegrityError):
+                out.append(self._parse_meta(dirname, _read_text(meta_path)))
+            except RepositoryIntegrityError:
                 warnings.warn(
                     f"skipping campaign {dirname!r}: corrupt "
                     f"meta.json (see ProfileRepository.verify)",
@@ -509,7 +399,7 @@ class ProfileRepository:
         """The :class:`CampaignKey` of every stored campaign."""
         return [
             CampaignKey(
-                kernel=m["kernel"], arch=m["arch"], tag=m.get("tag") or None
+                kernel=m["kernel"], arch=m["arch"], tag=m["tag"] or None
             )
             for m in self.list_campaigns()
         ]
@@ -529,6 +419,10 @@ class ProfileRepository:
                 f"repository corrupt: {dirname}/{_META} is not valid "
                 f"JSON ({exc})"
             ) from None
+        if not isinstance(meta, dict):
+            raise RepositoryIntegrityError(
+                f"repository corrupt: {dirname}/{_META} is not a JSON object"
+            )
         for name in _META_KEYS:
             if name not in meta:
                 raise RepositoryIntegrityError(
@@ -631,14 +525,14 @@ class ProfileRepository:
         if header.get("schema") != MATRIX_SCHEMA:
             return None
         payload = data_path.read_bytes()
-        if _sha256_bytes(payload) != header.get("payload_sha256"):
+        if _sha256(payload) != header.get("payload_sha256"):
             return None
         source = expect_source
         if source is None:
             if not src_path.exists():
                 return None
             source = src_path.read_bytes()
-        if _sha256_bytes(source) != header.get("source_sha256"):
+        if _sha256(source) != header.get("source_sha256"):
             return None
         try:
             table = np.load(io.BytesIO(payload), allow_pickle=False)
@@ -664,11 +558,9 @@ class ProfileRepository:
         """
         result = self.load(key)
         cdir = self._campaign_dir(key.dirname)
-        index_text, index_payload = build_matrix_index(
-            result, (cdir / _DATA).read_bytes()
+        self._write_index(
+            cdir, build_matrix_index(result, (cdir / _DATA).read_bytes())
         )
-        atomic_write(cdir / MATRIX_DATA, index_payload)
-        atomic_write(cdir / MATRIX_META, index_text)
         return cdir
 
     def matrix(
@@ -773,8 +665,7 @@ class ProfileRepository:
 
         Checks, without mutating anything: files present and parseable,
         manifest checksums match the bytes on disk, row count matches
-        the metadata, matrix index fresh. Always a full check; the
-        stat-based fast path belongs to :meth:`verify_all`.
+        the metadata, matrix index fresh.
         """
         return self._verify_dirname(key.dirname)
 
@@ -795,12 +686,14 @@ class ProfileRepository:
                     findings.append(
                         f"{dirname}/{name}: corrupt (not valid UTF-8)"
                     )
-        meta = None
+        n_runs = None
         if _META in texts:
             try:
                 meta = json.loads(texts[_META])
             except json.JSONDecodeError:
                 findings.append(f"{dirname}/{_META}: corrupt (not JSON)")
+            else:
+                n_runs = meta.get("n_runs") if isinstance(meta, dict) else None
         manifest_path = cdir / _MANIFEST
         if not manifest_path.exists():
             findings.append(
@@ -818,12 +711,12 @@ class ProfileRepository:
                         findings.append(
                             f"{dirname}/{name}: corrupt (checksum mismatch)"
                         )
-        if meta is not None and _DATA in texts and meta.get("n_runs") is not None:
+        if n_runs is not None and _DATA in texts:
             n_rows = max(len(texts[_DATA].splitlines()) - 1, 0)
-            if n_rows != meta["n_runs"]:
+            if n_rows != n_runs:
                 findings.append(
                     f"{dirname}/{_DATA}: corrupt (row count {n_rows} != "
-                    f"meta n_runs {meta['n_runs']})"
+                    f"meta n_runs {n_runs})"
                 )
         findings.extend(self._index_findings(cdir, dirname))
         findings.extend(self._schema_findings(cdir, dirname))
@@ -882,37 +775,19 @@ class ProfileRepository:
                     )
         return findings
 
-    def verify_all(self, full: bool = False) -> dict[str, list[str]]:
+    def verify_all(self) -> dict[str, list[str]]:
         """:meth:`verify` over every campaign directory (by dirname).
 
         Enumerates raw directories rather than :meth:`keys` so campaigns
         whose metadata is too damaged to list still get checked. The
-        quarantine area is skipped — it holds known-bad data.
-
-        In the sharded layout the check is O(changed): campaigns whose
-        tracked files' (size, mtime) still match the snapshot recorded
-        at their last *clean* verify are skipped, and a clean full check
-        records a fresh snapshot. ``full=True`` re-hashes everything
-        (catches same-size same-mtime rewrites the stat check cannot).
+        quarantine area is skipped — it holds known-bad data. Every call
+        re-hashes every campaign: a size/mtime check would miss bit rot
+        and same-size rewrites that keep the mtime.
         """
-        cache = {} if full else self._shard_cache()
-        out: dict[str, list[str]] = {}
-        clean_snapshots: dict[str, dict] = {}
-        for dirname in self._campaign_dirnames():
-            entry = cache.get(dirname)
-            if (
-                entry is not None
-                and self._stats_match(dirname, entry.get("verified"))
-            ):
-                out[dirname] = []
-                continue
-            findings = self._verify_dirname(dirname)
-            out[dirname] = findings
-            if not findings:
-                clean_snapshots[dirname] = self._stat_snapshot(dirname)
-        if clean_snapshots:
-            self._record_verified(clean_snapshots)
-        return out
+        return {
+            dirname: self._verify_dirname(dirname)
+            for dirname in self._campaign_dirnames()
+        }
 
     def quarantine(self, key: CampaignKey) -> Path:
         """Move a damaged campaign into ``<root>/_quarantine/``.
@@ -936,16 +811,13 @@ class ProfileRepository:
             target = qdir / f"{dirname}.{suffix}"
             suffix += 1
         os.replace(self._campaign_dir(dirname), target)
-        self._drop_shard_entry(dirname)
         return target
 
     def stats(self) -> dict:
         """Repository shape at a glance: layout, campaign/run counts,
         shard fill and index freshness (``repro repo stats``)."""
         dirnames = self._campaign_dirnames()
-        runs = sum(
-            int(m.get("n_runs") or 0) for m in self.list_campaigns()
-        )
+        runs = sum(int(m["n_runs"] or 0) for m in self.list_campaigns())
         fill: dict[str, int] = {}
         fresh = stale = missing = 0
         for dirname in dirnames:

@@ -321,7 +321,7 @@ class TestValidateFields:
 
 
 class TestRepositoryV2Artifacts:
-    """The four formats added with the sharded layout all validate."""
+    """The formats added with the sharded layout all validate."""
 
     def _v2_repo(self, tmp_path):
         repo = ProfileRepository(tmp_path / "repo")
@@ -329,17 +329,13 @@ class TestRepositoryV2Artifacts:
         return repo, cdir
 
     def test_registered(self):
-        for tag in ("repro-repo/1", "repro-shard/1", "repro-matrix/1",
+        for tag in ("repro-repo/1", "repro-matrix/1",
                     "repro-forest-state/1"):
             assert tag in SCHEMAS
 
     def test_repo_marker(self, tmp_path):
         repo, _ = self._v2_repo(tmp_path)
         assert validate_artifact(repo.root / "repo.json") == []
-
-    def test_shard_manifest(self, tmp_path):
-        repo, cdir = self._v2_repo(tmp_path)
-        assert validate_artifact(cdir.parent / "shard.json") == []
 
     def test_matrix_header(self, tmp_path):
         _, cdir = self._v2_repo(tmp_path)

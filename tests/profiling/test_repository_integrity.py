@@ -107,6 +107,37 @@ class TestInjectedWriteFaults:
         )
 
 
+class TestCommitOrder:
+    def test_save_and_append_share_one_write_order(
+        self, tmp_path, result, monkeypatch
+    ):
+        import repro.profiling.repository as repository
+
+        repo = ProfileRepository(tmp_path)
+        written = []
+        real = repository.atomic_write
+
+        def spy(path, data):
+            written.append(path.name)
+            real(path, data)
+
+        monkeypatch.setattr(repository, "atomic_write", spy)
+        order = ["meta.json", "runs.csv", "matrix.npy", "matrix.json",
+                 "manifest.json"]
+        cdir = repo.save(result)
+        assert written == order
+        written.clear()
+        repo.append(result)
+        assert written == order
+        # An index that append cannot extend is dropped, not rewritten.
+        (cdir / "matrix.json").write_text("{}")
+        written.clear()
+        repo.append(result)
+        assert written == ["meta.json", "runs.csv", "manifest.json"]
+        assert not (cdir / "matrix.json").exists()
+        assert not (cdir / "matrix.npy").exists()
+
+
 class TestQuarantine:
     def test_quarantine_moves_damage_aside(self, tmp_path, result):
         repo = ProfileRepository(tmp_path)
@@ -201,3 +232,23 @@ class TestRefusals:
         with pytest.warns(RuntimeWarning, match="skipping campaign"):
             metas = repo.list_campaigns()
         assert [m["tag"] for m in metas] == ["good"]
+
+    @pytest.mark.parametrize(
+        "text", ['{"n_runs": 20}', "[]", "null"],
+        ids=["missing-keys", "list", "null"],
+    )
+    def test_keys_skip_meta_lacking_keys(self, tmp_path, result, text):
+        # Parses, but is not a complete campaign record: one such
+        # campaign must not take keys() down for the whole root.
+        repo = ProfileRepository(tmp_path)
+        repo.save(result, tag="good")
+        bad = repo.save(result, tag="bad")
+        (bad / "meta.json").write_text(text)
+        with pytest.warns(RuntimeWarning, match="skipping campaign"):
+            keys = repo.keys()
+        assert keys == [CampaignKey(result.kernel, result.arch, tag="good")]
+        with pytest.warns(RuntimeWarning, match="skipping campaign"):
+            metas = repo.list_campaigns()
+        assert [m["tag"] for m in metas] == ["good"]
+        findings = repo.verify_all()
+        assert any("corrupt" in f for f in findings[bad.name])

@@ -148,8 +148,3 @@ class TestRepoStats:
         assert payload["layout"] == 2
         assert payload["campaigns"] == 1
         assert payload["index"]["fresh"] == 1
-
-    def test_verify_full_flag(self, tmp_path, capsys):
-        TestRepoCommand()._populate_clean(tmp_path)
-        assert main(["repo", "verify", str(tmp_path), "--full"]) == 0
-        assert "0 damaged" in capsys.readouterr().out
