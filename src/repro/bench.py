@@ -19,7 +19,8 @@ Run it as::
 Each run is appended to the bench-history journal
 (``benchmarks/history.jsonl``, see :mod:`repro.obs.history`) with
 manifest-style provenance; ``--check`` compares the fresh run's per-op
-speedups against the committed ``BENCH_core.json`` baseline and exits
+median speedups (of :data:`RUNS_PER_OP` runs) against the committed
+``BENCH_core.json`` baseline, itself written the same way, and exits
 non-zero when any op regressed past ``--threshold`` percent.
 
 See docs/performance.md and docs/observability.md for how to read the
@@ -53,6 +54,11 @@ BASELINE_PATH = "BENCH_core.json"
 
 #: Schema tag written into the JSON report.
 SCHEMA = "repro-bench/1"
+
+#: Runs of each op per bench run. The report keeps the run with the
+#: median speedup: one quick run's ratio can spread past the ``--check``
+#: threshold on a loaded machine with no code change.
+RUNS_PER_OP = 3
 
 
 @dataclass
@@ -822,7 +828,8 @@ def run_benchmarks(
     quick: bool = False,
     log=None,
 ) -> list[BenchResult]:
-    """Run the selected benchmarks (default: all), in catalogue order."""
+    """Run the selected benchmarks (default: all), in catalogue order;
+    each op :data:`RUNS_PER_OP` times, reporting its median-speedup run."""
     selected = list(BENCHMARKS) if ops is None else list(ops)
     unknown = [op for op in selected if op not in BENCHMARKS]
     if unknown:
@@ -832,8 +839,13 @@ def run_benchmarks(
     results = []
     for op in selected:
         if log is not None:
-            log(f"running {op} ({'quick' if quick else 'full'})...")
-        results.append(BENCHMARKS[op](quick=quick))
+            log(f"running {op} ({'quick' if quick else 'full'}, "
+                f"{RUNS_PER_OP} runs)...")
+        runs = [BENCHMARKS[op](quick=quick) for _ in range(RUNS_PER_OP)]
+        runs.sort(key=lambda r: r.speedup or 0.0)
+        median = runs[len(runs) // 2]
+        median.detail["run_speedups"] = [r.speedup for r in runs]
+        results.append(median)
     return results
 
 

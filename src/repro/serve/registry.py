@@ -7,9 +7,15 @@ by default the SHA-256 digest of the training campaign's
 of the data it learned from), falling back to the artifact's own
 content digest for fits without a stored campaign. Layout::
 
+    <root>/stamp                                  # root change stamp
     <root>/<campaign_dirname>/index.json          # publish-ordered versions
     <root>/<campaign_dirname>/<version>/fit.json  # repro-fit/1 artifact
     <root>/<campaign_dirname>/<version>/manifest.json  # provenance sidecar
+
+``stamp`` holds a random token that every :meth:`FitRegistry.publish`
+(and every :meth:`FitRegistry.gc` that removes a version) rewrites as
+its last step, after ``index.json``. A server reads it once per pass
+and re-reads the indexes and manifests only when it moved.
 
 Every write goes through :func:`repro.io.atomic_write` (temp file +
 fsync + rename) and the sidecar manifest
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +50,8 @@ __all__ = ["FitRegistry", "FitVersion", "RegistryIntegrityError"]
 _FIT = "fit.json"
 _MANIFEST = "manifest.json"
 _INDEX = "index.json"
+#: Root change stamp; a plain token file, not a JSON artifact.
+_STAMP = "stamp"
 
 #: Schema tag of the per-key version index.
 INDEX_SCHEMA = "repro-fit-index/1"
@@ -119,6 +128,7 @@ class FitRegistry:
         )
         atomic_write(vdir / _MANIFEST, manifest.to_json())
         self._index_add(key, version)
+        self._restamp()
         emit_event(
             "registry.publish", campaign=key.dirname, version=version
         )
@@ -133,6 +143,12 @@ class FitRegistry:
             index["versions"].remove(version)
         index["versions"].append(version)
         atomic_write(path, json.dumps(index, sort_keys=True) + "\n")
+
+    def _restamp(self) -> None:
+        # A fresh random token, never a read-modify-write counter: two
+        # concurrent publishers would both write the same next value and
+        # a watcher that saw the first would miss the second.
+        atomic_write(self.root / _STAMP, os.urandom(16).hex() + "\n")
 
     @staticmethod
     def _read_index(path: Path) -> dict:
@@ -331,8 +347,23 @@ class FitRegistry:
 
     # -- change watching ----------------------------------------------
 
+    def change_stamp(self) -> str | None:
+        """The root change stamp; ``None`` before any publish or gc.
+
+        Every :meth:`publish`, and every :meth:`gc` that removes a
+        version, writes a new value as its last step, so an unchanged
+        stamp means neither happened since it was read. Hand edits do
+        not move it. Raises ``OSError`` only when the file exists but
+        cannot be read.
+        """
+        try:
+            return (self.root / _STAMP).read_text()
+        except FileNotFoundError:
+            return None
+
     def watch_digests(self) -> dict[str, str]:
-        """Per-campaign content digests for hot-reload watching.
+        """Per-campaign content digests for hot-reload watching; a
+        server computes them only when :meth:`change_stamp` moved.
 
         Each campaign's digest covers its ``repro-fit-index/1`` bytes
         *plus* every indexed version's ``manifest.json`` bytes — the
@@ -365,22 +396,17 @@ class FitRegistry:
             out[index_path.parent.name] = hasher.hexdigest()
         return out
 
-    def watch_digest(self) -> str:
-        """One combined digest over :meth:`watch_digests` (health reports)."""
-        return hashlib.sha256(
-            repr(sorted(self.watch_digests().items())).encode()
-        ).hexdigest()
-
     # -- retention -----------------------------------------------------
 
     def gc(self, keep_latest: int = 1, *, cache=None) -> dict[str, list[str]]:
         """Drop all but the newest ``keep_latest`` versions of every key.
 
         Removes the version directories, rewrites each index to its
-        retained tail (publish order preserved), and — when a
+        retained tail (publish order preserved), moves the change
+        stamp when anything was removed (so running servers reload the
+        affected campaigns), and — when a
         :class:`~repro.serve.cache.FitCache` is passed — invalidates the
-        cache entry of every removed version so a warm server cannot
-        keep serving a fit the registry no longer holds. Returns
+        cache entry of every removed version. Returns
         ``{dirname: [removed versions...]}``.
         """
         if keep_latest < 1:
@@ -402,6 +428,8 @@ class FitRegistry:
             index["versions"] = versions[-keep_latest:]
             atomic_write(index_path, json.dumps(index, sort_keys=True) + "\n")
             removed[dirname] = drop
+        if removed:
+            self._restamp()
         emit_event(
             "registry.gc",
             keep_latest=keep_latest,

@@ -31,10 +31,13 @@ On top of the batching core sits the production hardening
   server a ``--request-timeout`` default); a request still unprocessed
   when its monotonic deadline passes is refused with
   :data:`DEADLINE_EXCEEDED` (``serve.timeouts``).
-* **Hot reload** — each batch checks the registry's watch digests
-  (``repro-fit-index/1`` plus version manifests); a re-publish
+* **Hot reload** — each batch reads the registry's root change stamp,
+  which every publish and gc rewrites last; only when it moved does the
+  batch diff the watch digests (``repro-fit-index/1`` plus version
+  manifests) and drop its in-memory "latest" versions. A re-publish
   invalidates the affected :class:`FitCache` entries and resets the
   model's breaker, so a stale fit is never served (``serve.reloads``).
+  Hand edits that no publish follows are not watched for.
 * **Circuit breaker** — repeated :class:`RegistryIntegrityError` /
   unexpected predict failures open a per-``(campaign, version)``
   breaker (:mod:`repro.serve.breaker`); open models fast-fail with
@@ -270,6 +273,9 @@ class PredictionServer:
         self._draining = False
         self._served_at_drain: int | None = None
         self._watched: dict[str, str] | None = None
+        self._stamp: str | None = None
+        #: "Latest" version per campaign, valid until the stamp moves.
+        self._latest: dict[CampaignKey, str] = {}
         self._registry_digest: str | None = None
         self._lock = threading.RLock()
         # Sheds are counted on reader threads, which must not wait for
@@ -472,10 +478,16 @@ class PredictionServer:
             arch=str(arch),
             tag=params.get("tag") or None,
         )
+        explicit = params.get("version")
         try:
-            version = self.registry.resolve_version(
-                key, params.get("version")
-            )
+            if explicit is not None:
+                version = self.registry.resolve_version(key, explicit)
+            else:
+                version = self._latest.get(key)
+                if version is None:
+                    # Only a found version is kept: errors re-resolve.
+                    version = self.registry.resolve_version(key)
+                    self._latest[key] = version
         except FileNotFoundError as exc:
             raise _RpcError(MODEL_NOT_FOUND, str(exc)) from None
         except RegistryIntegrityError as exc:
@@ -622,16 +634,25 @@ class PredictionServer:
     # -- hot reload ----------------------------------------------------
 
     def check_reload(self) -> list[str]:
-        """Diff the registry's watch digests; hot-reload changed campaigns.
+        """Hot-reload the campaigns a publish or gc changed.
 
-        For every campaign whose digest moved since the last check
-        (re-publish, gc, or manual edit), the warm cache entries of that
+        Reads the registry's change stamp; while it equals the one
+        recorded, nothing was published or collected and the check
+        returns ``[]`` at once. Once it moved, the in-memory "latest"
+        versions are dropped and the watch digests are diffed: for every
+        campaign whose digest changed, the warm cache entries of that
         campaign are invalidated and its breakers reset — the next
-        request re-loads (and re-verifies) from disk. The first check
-        primes the watch state without reloading. Returns the changed
-        campaign dirnames.
+        request re-loads (and re-verifies) from disk. The stamp recorded
+        is the one read *before* the digests, so a publish that lands in
+        between is seen again on the next check. The first check primes
+        the watch state without reloading. Returns the changed campaign
+        dirnames.
         """
         try:
+            stamp = self.registry.change_stamp()
+            if self._watched is not None and stamp == self._stamp:
+                return []
+            self._latest.clear()
             current = self.registry.watch_digests()
         except OSError:
             return []  # transient filesystem hiccup; next batch retries
@@ -652,6 +673,7 @@ class PredictionServer:
                     breakers_cleared=cleared,
                 )
         self._watched = current
+        self._stamp = stamp
         self._registry_digest = hashlib.sha256(
             repr(sorted(current.items())).encode()
         ).hexdigest()

@@ -31,6 +31,16 @@ class TestBenchHarness:
         results = run_benchmarks(ops=["trace_transactions"], quick=True)
         assert [r.op for r in results] == ["trace_transactions"]
 
+    def test_each_op_reports_its_median_run(self, monkeypatch):
+        runs = iter([5.0, 1.0, 3.0])
+        monkeypatch.setitem(
+            BENCHMARKS, "trace_transactions",
+            lambda quick=False: _doctored("trace_transactions", next(runs)),
+        )
+        (result,) = run_benchmarks(ops=["trace_transactions"], quick=True)
+        assert result.speedup == 3.0
+        assert result.detail["run_speedups"] == [1.0, 3.0, 5.0]
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             run_benchmarks(ops=["no_such_op"], quick=True)
@@ -145,6 +155,27 @@ class TestCliCheck:
         from repro.cli import main
 
         return main(argv)
+
+    def test_check_compares_the_median_of_three_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # One slow run of three (a noisy host) must not trip the check;
+        # two must.
+        baseline = _baseline_file(tmp_path, trace_transactions=10.0)
+        argv = [
+            "bench", "--quick", "--ops", "trace_transactions",
+            "--check", "--baseline", baseline, "--no-history",
+        ]
+        for speedups, code in (([4.0, 9.5, 10.5], 0), ([4.0, 5.0, 10.5], 1)):
+            runs = iter(speedups)
+            monkeypatch.setitem(
+                BENCHMARKS, "trace_transactions",
+                lambda quick=False: _doctored(
+                    "trace_transactions", next(runs)
+                ),
+            )
+            assert self._run(argv) == code
+            assert next(runs, None) is None  # every run was taken
 
     def test_synthetic_regression_exits_nonzero(
         self, tmp_path, monkeypatch, capsys
