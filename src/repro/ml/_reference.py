@@ -2,13 +2,14 @@
 
 These are the scalar hot paths that :mod:`repro.ml.tree`,
 :mod:`repro.ml.forest` and :mod:`repro.ml.partial_dependence` replaced
-with the block-vectorized split scan, the batched OOB-permutation
-predict, the spawned-stream parallel fit, the packed forest descent and
-the stacked partial-dependence pass. They survive for two reasons:
+with the lockstep grower and its batched split search, the one-descent
+OOB scoring of a fit chunk, the spawned-stream parallel fit, the packed
+forest descent and the stacked partial-dependence pass. They survive
+for two reasons:
 
 * **correctness oracles** — the equivalence tests pin the fast
   implementations against these on randomized datasets
-  (``tests/ml/test_forest_parallel.py``);
+  (``tests/ml/test_forest_parallel.py``, ``tests/ml/test_lockstep.py``);
 * **benchmark baselines** — ``repro bench`` times them against the fast
   paths and records both in ``BENCH_core.json``, so speedups are
   measured against real code, not remembered numbers.
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .forest import _IMPORTANCE_BATCH_BYTES
 from .metrics import explained_variance, mse, spearman_rank_correlation
 from .partial_dependence import PartialDependence, _grid
-from .tree import _LEAF, _best_split_for_feature
+from .tree import _LEAF, RegressionTree, _best_split_for_feature
 
 __all__ = [
     "ReferenceRegressionTree",
@@ -31,6 +33,86 @@ __all__ = [
     "forest_predict",
     "partial_dependence",
 ]
+
+
+def _permutation_deltas(
+    tree: RegressionTree,
+    X_oob: np.ndarray,
+    y_oob: np.ndarray,
+    base_err: float,
+    active: np.ndarray,
+    n_permutations: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """OOB error increase per active variable, batched.
+
+    Builds one stacked matrix holding a permuted copy of ``X_oob`` per
+    (variable, repetition) — the permutations drawn in a single
+    ``rng.permuted`` matrix op — and runs *one* tree predict over the
+    stack, instead of a predict per variable as the scalar reference
+    does. Variables are chunked only to bound peak memory.
+    """
+    m, p = X_oob.shape
+    reps = n_permutations
+    deltas = np.empty(active.size)
+    per_var_bytes = reps * m * p * 8
+    chunk = max(1, int(_IMPORTANCE_BATCH_BYTES // max(per_var_bytes, 1)))
+    for lo in range(0, active.size, chunk):
+        vars_ = active[lo : lo + chunk]
+        k = vars_.size * reps
+        # One matrix op: row (a, r) is an independent permutation of
+        # variable vars_[a]'s OOB column.
+        perms = rng.permuted(np.repeat(X_oob[:, vars_].T, reps, axis=0), axis=1)
+        stack = np.tile(X_oob, (k, 1))
+        for a, j in enumerate(vars_):
+            for r in range(reps):
+                row = a * reps + r
+                stack[row * m : (row + 1) * m, j] = perms[row]
+        errs = ((tree.predict(stack).reshape(k, m) - y_oob) ** 2).mean(axis=1)
+        deltas[lo : lo + vars_.size] = (
+            errs.reshape(vars_.size, reps).mean(axis=1) - base_err
+        )
+    return deltas
+
+
+def _fit_forest_tree(
+    X: np.ndarray, y: np.ndarray, cfg: dict, rng: np.random.Generator
+) -> tuple[RegressionTree, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Grow one tree from its own stream; returns OOB artifacts too.
+
+    The per-stream oracle of ``repro.ml.forest._fit_forest_chunk``: one
+    tree grown alone and its OOB rows scored by per-tree predicts, with
+    the stream drawn in the same order (bootstrap, node candidates, OOB
+    permutations).
+    """
+    n, p = X.shape
+    boot = rng.integers(0, n, size=n)
+    oob_mask = np.ones(n, dtype=bool)
+    oob_mask[boot] = False
+    tree = RegressionTree(
+        max_depth=cfg["max_depth"],
+        min_samples_leaf=cfg["min_samples_leaf"],
+        max_features=cfg["mtry"],
+        rng=rng,
+    ).fit(X[boot], y[boot])
+
+    oob_idx = np.where(oob_mask)[0]
+    pred_oob: np.ndarray | None = None
+    perm_row = np.zeros(p)
+    if oob_idx.size:
+        X_oob = X[oob_idx]
+        pred_oob = tree.predict(X_oob)
+        if cfg["importance"]:
+            y_oob = y[oob_idx]
+            base_err = float(np.mean((pred_oob - y_oob) ** 2))
+            # Permuting a constant column changes nothing; skip it.
+            active = np.flatnonzero(np.ptp(X_oob, axis=0) != 0.0)
+            if active.size:
+                perm_row[active] = _permutation_deltas(
+                    tree, X_oob, y_oob, base_err, active,
+                    cfg["n_permutations"], rng,
+                )
+    return tree, oob_idx, pred_oob, perm_row
 
 
 def tree_apply(tree, X: np.ndarray) -> np.ndarray:

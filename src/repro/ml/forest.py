@@ -30,12 +30,16 @@ serially or across a process pool, and aggregation runs in tree order —
 so ``n_jobs > 1`` is **bit-for-bit identical** to ``n_jobs=1`` for a
 fixed seed (pinned by ``tests/ml/test_forest_parallel.py``).
 
-The OOB permutation importance is evaluated with one batched
-``tree.predict`` over all (variable, repetition) permuted copies per
-tree, with the permutations themselves drawn as a single matrix op
-(``Generator.permuted``), instead of one predict call per variable. The
-pre-vectorization implementation is preserved in
-:mod:`repro.ml._reference` as the oracle and benchmark baseline.
+The trees of a chunk (all of them when fitting serially, one chunk per
+worker otherwise) are grown in lockstep by
+:func:`repro.ml.tree.grow_trees`, each from its own stream. Their OOB
+permutations are drawn per tree as single matrix ops
+(``Generator.permuted``), and the plain and permuted OOB rows of many
+trees are scored in one packed descent. Since every tree reads only its
+own stream, which trees share a chunk changes no number. The per-tree
+path (:func:`repro.ml._reference._fit_forest_tree`) and the
+pre-vectorization forest are kept in :mod:`repro.ml._reference` as
+oracles and benchmark baselines.
 
 Packed prediction
 -----------------
@@ -67,7 +71,7 @@ from repro.parallel import (
 )
 
 from .metrics import explained_variance, mse
-from .tree import RegressionTree, descend
+from .tree import RegressionTree, descend, grow_trees
 
 __all__ = ["RandomForestRegressor"]
 
@@ -82,6 +86,13 @@ _IMPORTANCE_BATCH_BYTES = 16 << 20
 # cache as well as bounding its memory.
 _PAIR_CHUNK = 1 << 15
 
+# Most (tree, row) pairs one OOB descent of a fit chunk advances at once;
+# one tree's plain or permuted rows are never split across descents. On a
+# 150-tree, 103 x 33 chunk, a forked worker's private memory grew 0.8 MB
+# more than the per-tree path's with 2**12 pairs, 0.5 MB with 2**11 and
+# 0.1 MB with 2**10; a 300-tree fit took 0.33, 0.33 and 0.43 s.
+_OOB_PAIRS = 1 << 11
+
 #: The per-node arrays a forest keeps concatenated, one copy for all
 #: its trees; all but ``n_node_samples_`` are read by the descent.
 _NODE_ARRAYS = (
@@ -89,89 +100,147 @@ _NODE_ARRAYS = (
 )
 
 
-def _permutation_deltas(
-    tree: RegressionTree,
-    X_oob: np.ndarray,
-    y_oob: np.ndarray,
-    base_err: float,
-    active: np.ndarray,
-    n_permutations: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """OOB error increase per active variable, batched.
+def _fit_forest_chunk(args) -> list[tuple]:
+    """Worker: fit a contiguous run of trees, one per stream.
 
-    Builds one stacked matrix holding a permuted copy of ``X_oob`` per
-    (variable, repetition) — the permutations drawn in a single
-    ``rng.permuted`` matrix op — and runs *one* tree predict over the
-    stack, instead of a predict per variable as the scalar reference
-    does. Variables are chunked only to bound peak memory.
+    Each stream draws its bootstrap, then its tree's node candidates
+    (the lockstep grower), then its OOB permutations, in that order; a
+    tree depends on its own stream only, so which trees share a chunk
+    changes no result. Returns ``(tree, oob_idx, pred_oob, perm_row)``
+    per stream, in order.
     """
-    m, p = X_oob.shape
-    reps = n_permutations
-    deltas = np.empty(active.size)
-    per_var_bytes = reps * m * p * 8
-    chunk = max(1, int(_IMPORTANCE_BATCH_BYTES // max(per_var_bytes, 1)))
-    for lo in range(0, active.size, chunk):
-        vars_ = active[lo : lo + chunk]
-        k = vars_.size * reps
-        # One matrix op: row (a, r) is an independent permutation of
-        # variable vars_[a]'s OOB column.
-        perms = rng.permuted(np.repeat(X_oob[:, vars_].T, reps, axis=0), axis=1)
-        stack = np.tile(X_oob, (k, 1))
-        for a, j in enumerate(vars_):
-            for r in range(reps):
-                row = a * reps + r
-                stack[row * m : (row + 1) * m, j] = perms[row]
-        errs = ((tree.predict(stack).reshape(k, m) - y_oob) ** 2).mean(axis=1)
-        deltas[lo : lo + vars_.size] = (
-            errs.reshape(vars_.size, reps).mean(axis=1) - base_err
-        )
-    return deltas
-
-
-def _fit_forest_tree(
-    X: np.ndarray, y: np.ndarray, cfg: dict, rng: np.random.Generator
-) -> tuple[RegressionTree, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Grow one tree from its own stream; returns OOB artifacts too.
-
-    Pure function of ``(X, y, cfg, rng state)`` — the property that
-    makes process-pool fits bit-identical to serial ones.
-    """
-    n, p = X.shape
-    boot = rng.integers(0, n, size=n)
-    oob_mask = np.ones(n, dtype=bool)
-    oob_mask[boot] = False
-    with span("forest.tree"):
-        tree = RegressionTree(
+    X, y, cfg, rngs = args
+    n = X.shape[0]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
+    trees = [
+        RegressionTree(
             max_depth=cfg["max_depth"],
             min_samples_leaf=cfg["min_samples_leaf"],
             max_features=cfg["mtry"],
             rng=rng,
-        ).fit(X[boot], y[boot])
+        )
+        for rng in rngs
+    ]
+    with span("forest.grow", n_trees=len(trees)):
+        grow_trees(trees, X, y, boots)
+    with span("forest.oob", n_trees=len(trees)):
+        return _score_oob(trees, boots, X, y, cfg)
 
-    oob_idx = np.where(oob_mask)[0]
-    pred_oob: np.ndarray | None = None
-    perm_row = np.zeros(p)
-    if oob_idx.size:
-        X_oob = X[oob_idx]
-        pred_oob = tree.predict(X_oob)
-        if cfg["importance"]:
-            y_oob = y[oob_idx]
-            base_err = float(np.mean((pred_oob - y_oob) ** 2))
-            # Permuting a constant column changes nothing; skip it.
-            active = np.flatnonzero(np.ptp(X_oob, axis=0) != 0.0)
-            if active.size:
-                perm_row[active] = _permutation_deltas(
-                    tree, X_oob, y_oob, base_err, active,
-                    cfg["n_permutations"], rng,
+
+def _score_oob(
+    trees: list[RegressionTree],
+    boots: list[np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: dict,
+) -> list[tuple]:
+    """OOB predictions and permutation-importance rows of a chunk.
+
+    Each tree first draws its permutations from its own stream as the
+    per-tree path does: one ``Generator.permuted`` matrix op per
+    ``_IMPORTANCE_BATCH_BYTES`` chunk of variables. Then the plain and
+    permuted OOB rows of consecutive trees go through one packed
+    :func:`~repro.ml.tree.descend` of about ``_OOB_PAIRS`` pairs, and
+    errors and deltas are computed per tree on the same ``(k, m)``
+    blocks, with the same arithmetic, as
+    :func:`repro.ml._reference._permutation_deltas`.
+    """
+    n, p = X.shape
+    reps = cfg["n_permutations"]
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature_", "threshold_", "left_", "right_", "value_")
+    )
+    starts = np.cumsum([0] + [tree.n_nodes for tree in trees[:-1]], dtype=np.intp)
+    results = []
+    base_err = {}
+    # Descent segments waiting for the next descent: (tree, vars, perms),
+    # vars None for the tree's plain OOB rows, which precede its
+    # permuted rows; each segment is one tree's OOB rows, once, or once
+    # per (variable, repetition) with that column permuted.
+    pending: list[tuple] = []
+    pending_rows = 0
+
+    def segment_rows(job) -> int:
+        t, _, perms = job
+        m = results[t][1].size
+        return m if perms is None else perms.shape[0] * m
+
+    def flush() -> None:
+        stack = np.empty((pending_rows, p))
+        tree_of = np.empty(pending_rows, dtype=np.intp)
+        at = 0
+        for job in pending:
+            t, vars_, perms = job
+            size = segment_rows(job)
+            oob_idx = results[t][1]
+            block = stack[at : at + size].reshape(-1, oob_idx.size, p)
+            block[:] = X[oob_idx]
+            if perms is not None:
+                block[
+                    np.arange(perms.shape[0])[:, None],
+                    np.arange(oob_idx.size),
+                    np.repeat(vars_, reps)[:, None],
+                ] = perms
+            tree_of[at : at + size] = starts[t]
+            at += size
+        pred = value.take(descend(
+            feature, threshold, left, right, tree_of, stack,
+            rows=np.arange(pending_rows),
+        ))
+        at = 0
+        for job in pending:
+            t, vars_, perms = job
+            size = segment_rows(job)
+            y_oob = y[results[t][1]]
+            if perms is None:
+                pred_oob = pred[at : at + size].copy()
+                results[t][2] = pred_oob
+                base_err[t] = float(np.mean((pred_oob - y_oob) ** 2))
+            else:
+                k = perms.shape[0]
+                errs = (
+                    (pred[at : at + size].reshape(k, y_oob.size) - y_oob) ** 2
+                ).mean(axis=1)
+                results[t][3][vars_] = (
+                    errs.reshape(vars_.size, reps).mean(axis=1) - base_err[t]
                 )
-    return tree, oob_idx, pred_oob, perm_row
+            at += size
 
+    def submit(job) -> None:
+        nonlocal pending, pending_rows
+        size = segment_rows(job)
+        if pending and pending_rows + size > _OOB_PAIRS:
+            flush()
+            pending, pending_rows = [], 0
+        pending.append(job)
+        pending_rows += size
 
-def _fit_forest_chunk(args) -> list[tuple]:
-    """Worker: fit a contiguous run of trees, one per stream."""
-    X, y, cfg, rngs = args
-    return [_fit_forest_tree(X, y, cfg, rng) for rng in rngs]
+    for t, (tree, boot) in enumerate(zip(trees, boots)):
+        oob_mask = np.ones(n, dtype=bool)
+        oob_mask[boot] = False
+        oob_idx = np.flatnonzero(oob_mask)
+        results.append([tree, oob_idx, None, np.zeros(p)])
+        if not oob_idx.size:
+            continue
+        submit((t, None, None))
+        if not cfg["importance"]:
+            continue
+        X_oob = X[oob_idx]
+        # Permuting a constant column changes nothing; skip it.
+        active = np.flatnonzero(np.ptp(X_oob, axis=0) != 0.0)
+        per_var_bytes = reps * oob_idx.size * p * 8
+        chunk = max(1, int(_IMPORTANCE_BATCH_BYTES // max(per_var_bytes, 1)))
+        for lo in range(0, active.size, chunk):
+            vars_ = active[lo : lo + chunk]
+            # One matrix op: row (a, r) is an independent permutation
+            # of variable vars_[a]'s OOB column.
+            submit((t, vars_, tree._rng.permuted(
+                np.repeat(X_oob[:, vars_].T, reps, axis=0), axis=1
+            )))
+    if pending:
+        flush()
+    return [tuple(r) for r in results]
 
 
 class RandomForestRegressor:
@@ -337,7 +406,7 @@ class RandomForestRegressor:
                 for tree in chunk
             ]
         else:
-            results = [_fit_forest_tree(X, y, cfg, rng) for rng in streams]
+            results = _fit_forest_chunk((X, y, cfg, streams))
         return results
 
     def _aggregate(self, X: np.ndarray, y: np.ndarray) -> None:

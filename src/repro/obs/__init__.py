@@ -11,9 +11,10 @@ Four coordinated pieces:
 * **spans** (:func:`span`, :func:`trace`) — hierarchical timed spans
   over the pipeline (``campaign.run`` → ``profile`` →
   ``gpusim.launch`` → ``gpusim.resolve_access``; ``blackforest.fit`` →
-  ``forest.fit`` → ``forest.tree``); :func:`repro.parallel.process_map`
-  carries the active collectors and fault plan, so worker-process spans
-  are merged back into the parent trace (:meth:`Tracer.adopt`);
+  ``forest.fit`` → ``forest.grow``, ``forest.oob``);
+  :func:`repro.parallel.process_map` carries the active collectors and
+  fault plan, so worker-process spans are merged back into the parent
+  trace (:meth:`Tracer.adopt`);
 * **metrics** (:func:`collect`, :func:`inc`, :func:`timer`,
   :func:`set_gauge`) — labelled counters/timers/gauges, e.g. the
   ``resolve_access`` memo hit/miss counters;

@@ -3,8 +3,8 @@
 The pipeline's wall-clock lives in a handful of nested stages —
 ``campaign.run`` → ``profile`` → ``gpusim.launch`` →
 ``gpusim.resolve_access`` on the collection side, ``blackforest.fit`` →
-``forest.fit`` → ``forest.tree`` on the statistics side. A
-:class:`Tracer` records those stages as a tree of timed
+``forest.fit`` → ``forest.grow``/``forest.oob`` on the statistics side.
+A :class:`Tracer` records those stages as a tree of timed
 :class:`SpanRecord` objects; :func:`span` is the single instrumentation
 primitive threaded through the hot layers.
 

@@ -398,15 +398,13 @@ class FitRegistry:
 
     # -- retention -----------------------------------------------------
 
-    def gc(self, keep_latest: int = 1, *, cache=None) -> dict[str, list[str]]:
+    def gc(self, keep_latest: int = 1) -> dict[str, list[str]]:
         """Drop all but the newest ``keep_latest`` versions of every key.
 
         Removes the version directories, rewrites each index to its
-        retained tail (publish order preserved), moves the change
-        stamp when anything was removed (so running servers reload the
-        affected campaigns), and — when a
-        :class:`~repro.serve.cache.FitCache` is passed — invalidates the
-        cache entry of every removed version. Returns
+        retained tail (publish order preserved) and moves the change
+        stamp when anything was removed, so running servers reload the
+        affected campaigns and drop the removed versions. Returns
         ``{dirname: [removed versions...]}``.
         """
         if keep_latest < 1:
@@ -423,8 +421,6 @@ class FitRegistry:
                 continue
             for version in drop:
                 shutil.rmtree(self.root / dirname / version, ignore_errors=True)
-                if cache is not None:
-                    cache.invalidate((dirname, version))
             index["versions"] = versions[-keep_latest:]
             atomic_write(index_path, json.dumps(index, sort_keys=True) + "\n")
             removed[dirname] = drop

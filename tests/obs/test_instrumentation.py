@@ -92,8 +92,9 @@ class TestTraceCoverage:
         campaign = _campaign()
         with trace() as tracer:
             BlackForest(n_trees=20, rng=1).fit(campaign)
-        for name in ("blackforest.fit", "forest.fit", "forest.tree",
-                     "blackforest.importance", "blackforest.reduced_check"):
+        for name in ("blackforest.fit", "forest.fit", "forest.grow",
+                     "forest.oob", "blackforest.importance",
+                     "blackforest.reduced_check"):
             assert name in tracer.names(), name
 
     def test_metrics_cover_simulator_and_trees(self):

@@ -206,14 +206,3 @@ class TestGc:
         reg, versions = self._publish_versions(tmp_path, 2)
         assert reg.gc(keep_latest=5) == {}
         assert reg.versions(KEY) == versions
-
-    def test_gc_invalidates_cache(self, tmp_path):
-        from repro.serve import FitCache
-
-        reg, versions = self._publish_versions(tmp_path, 3)
-        cache = FitCache(max_entries=8)
-        for v in versions:
-            cache.get((KEY.dirname, v), lambda v=v: reg.load(KEY, version=v))
-        assert len(cache) == 3
-        reg.gc(keep_latest=1, cache=cache)
-        assert cache.keys() == [(KEY.dirname, versions[-1])]

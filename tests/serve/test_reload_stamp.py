@@ -146,7 +146,7 @@ class TestStampGatedWatch:
         assert _predict(server, "new")["result"]["version"] == v2.version
         old = _predict(server, "old", version=v1.version)
         assert old["result"]["version"] == v1.version  # v1 now cached
-        reg.gc(keep_latest=1)  # no cache=: the server must notice alone
+        reg.gc(keep_latest=1)  # the server must notice alone
         gone = _predict(server, "gone", version=v1.version)
         assert gone["error"]["kind"] == "model_not_found"
         assert _predict(server, "kept")["result"]["version"] == v2.version
