@@ -4,8 +4,9 @@ Times the hot paths the perf passes vectorized — trace coalescing /
 cache replay (gpusim), forest fitting, prediction and partial
 dependence (ml), and campaign sweeps (profiling) — **against the
 retained pre-vectorization implementations** (the ``*_scalar``
-oracles, :mod:`repro.ml._reference`, and memoization disabled), so the
-recorded speedups compare real code rather than remembered numbers. Results land in ``BENCH_core.json``.
+oracles, :mod:`repro.ml._reference`, and the per-launch simulation
+loop), so the recorded speedups compare real code rather than
+remembered numbers. Results land in ``BENCH_core.json``.
 
 Every benchmark first checks that fast and baseline paths agree on the
 workload being timed; a divergence makes the harness fail loudly rather
@@ -134,63 +135,6 @@ def _mixed_trace(rng: np.random.Generator, rows: int, segment_bytes: int) -> np.
     return trace
 
 
-class _TraceSweepKernel:
-    """Synthetic trace-bearing kernel for the campaign benchmark.
-
-    Its load pattern carries a sampled ``(n_requests, 32)`` address
-    trace, so every profiled run pays the trace-simulation cost that
-    :func:`repro.gpusim.resolve_access` memoizes — the access class the
-    memoization targets (the library kernels currently model their
-    traffic analytically or pre-compute hit rates themselves).
-    Implements the :class:`repro.kernels.base.Kernel` interface.
-    """
-
-    name = "benchTraceSweep"
-
-    def __init__(self, sample_requests: int = 1024) -> None:
-        self.sample_requests = sample_requests
-
-    def run(self, problem, rng=None):
-        return float(problem)
-
-    def reference(self, problem, rng=None):
-        return float(problem)
-
-    def characteristics(self, problem) -> dict:
-        return {"n": float(problem)}
-
-    def default_sweep(self) -> list:
-        return [1 << k for k in range(14, 22)]
-
-    def workloads(self, problem, arch) -> list:
-        from dataclasses import replace
-
-        from repro.kernels.base import WorkloadAccumulator
-
-        n = int(problem)
-        acc = WorkloadAccumulator(
-            self.name,
-            grid_blocks=max(n // 256, 1),
-            threads_per_block=256,
-            regs_per_thread=18,
-            shared_mem_per_block=0,
-        )
-        warps = 8.0  # per block: 256 threads / 32
-        acc.arith(6 * warps, fma=True)
-        acc.global_access("load", warps)
-        acc.global_access("store", warps)
-        wl = acc.build()
-        # Same trace for a given (problem, arch): replicates re-resolve
-        # the identical pattern, which is what the sweep memoizes.
-        trace = _mixed_trace(
-            np.random.default_rng(n),
-            self.sample_requests,
-            arch.global_mem_segment_bytes,
-        )
-        wl.global_accesses[0] = replace(wl.global_accesses[0], addresses=trace)
-        return [wl]
-
-
 # -- individual benchmarks --------------------------------------------------
 
 
@@ -288,45 +232,39 @@ def bench_forest_fit(quick: bool = False) -> BenchResult:
 
 
 def bench_campaign_sweep(quick: bool = False) -> BenchResult:
-    """End-to-end campaign sweep: memoized resolve_access vs. disabled.
+    """Needleman–Wunsch campaign: batched launches vs. the per-launch loop.
 
-    Uses a trace-bearing kernel (:class:`_TraceSweepKernel`): sampled
-    address traces are the access class whose resolution the
-    memoization was built for — replicates re-resolve the identical
-    pattern and skip the trace simulation.
+    The fast side is :meth:`repro.profiling.Campaign.run` as shipped,
+    which simulates each run's :class:`~repro.gpusim.LaunchBatch` in one
+    ``GPUSimulator.run_totals`` pass. The baseline is the same campaign
+    under a per-attempt deadline (``RetryPolicy(timeout_s=3600)``), which
+    makes the profiler launch one workload at a time so it can check the
+    clock between launches.
     """
-    from repro.gpusim import GTX580, clear_resolve_access_cache
-    from repro.gpusim.memory import resolve_access_memoization
+    from repro.faults import RetryPolicy
+    from repro.gpusim import GTX580
+    from repro.kernels import NeedlemanWunschKernel
     from repro.profiling import Campaign
 
-    kernel = _TraceSweepKernel(sample_requests=256 if quick else 1024)
-    problems = kernel.default_sweep()[: 3 if quick else 6]
+    kernel = NeedlemanWunschKernel()
+    problems = kernel.default_sweep()[: 6 if quick else 12]
     replicates = 2 if quick else 3
 
-    def collect():
+    def collect(retry=None):
         return Campaign(kernel, GTX580, rng=4).run(
-            problems=problems, replicates=replicates
+            problems=problems, replicates=replicates, retry=retry
         )
 
-    with resolve_access_memoization(False):
-        reference = collect()
-    clear_resolve_access_cache()
-    memoized = collect()
-    for a, b in zip(reference.records, memoized.records):
+    per_launch = RetryPolicy(timeout_s=3600)
+    reference = collect(per_launch)
+    batched = collect()
+    for a, b in zip(reference.records, batched.records, strict=True):
         if a.time_s != b.time_s or a.counters != b.counters:
-            raise AssertionError("memoized campaign diverges from unmemoized")
-
-    def run_fast():
-        clear_resolve_access_cache()
-        collect()
-
-    def run_base():
-        with resolve_access_memoization(False):
-            collect()
+            raise AssertionError("batched campaign diverges from per-launch")
 
     runs = len(problems) * replicates
-    fast_s = _best_of(run_fast, 3)
-    base_s = _best_of(run_base, 2)
+    fast_s = _best_of(collect, 3)
+    base_s = _best_of(lambda: collect(per_launch), 2)
     return _result(
         "campaign_sweep", runs, "profiled runs", fast_s, base_s,
         {

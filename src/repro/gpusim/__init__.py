@@ -22,11 +22,9 @@ from .microsim import Instruction, MicroResult, MicroSim
 from .memory import (
     CacheSim,
     MemoryAccessResult,
-    clear_resolve_access_cache,
     coalesce_trace,
     estimate_hit_fraction,
     resolve_access,
-    resolve_access_memoization,
     transactions_from_trace,
     transactions_from_trace_scalar,
     transactions_per_request,
@@ -67,11 +65,9 @@ __all__ = [
     "MicroResult",
     "MicroSim",
     "MemoryAccessResult",
-    "clear_resolve_access_cache",
     "coalesce_trace",
     "estimate_hit_fraction",
     "resolve_access",
-    "resolve_access_memoization",
     "transactions_from_trace",
     "transactions_from_trace_scalar",
     "transactions_per_request",

@@ -255,7 +255,7 @@ class ReferenceRegressionTree:
             examined = 0
             for j in candidates:
                 col = X[idx, j]
-                if col[0] == col[-1] and np.ptp(col) == 0.0:
+                if col[0] == col[-1] and col.min() == col.max():
                     continue
                 res = _best_split_for_feature(col, y_node, self.min_samples_leaf)
                 examined += 1

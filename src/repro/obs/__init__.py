@@ -17,7 +17,7 @@ Four coordinated pieces:
   trace (:meth:`Tracer.adopt`);
 * **metrics** (:func:`collect`, :func:`inc`, :func:`timer`,
   :func:`set_gauge`) — labelled counters/timers/gauges, e.g. the
-  ``resolve_access`` memo hit/miss counters;
+  ``campaign.retries`` and ``tree.nodes`` counters;
 * **events** (:func:`event_log`, :func:`emit`) — a structured log of
   discrete lifecycle occurrences (launch, retry, quarantine, worker
   crash, fit start/end), correlated to the span tree, with an opt-in

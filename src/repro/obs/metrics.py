@@ -1,8 +1,8 @@
 """Counter / timer / gauge metrics with label support.
 
 Complements the span tree (:mod:`repro.obs.spans`) with cheap scalar
-accounting: how many times did the ``resolve_access`` memo hit, how many
-tree nodes did a forest grow, what was the peak campaign size. Like
+accounting: how many launches did a campaign retry, how many tree
+nodes did a forest grow, what was the peak campaign size. Like
 tracing, collection is **off by default** and the disabled fast path is
 one module-global load plus an ``is None`` check.
 
@@ -29,8 +29,8 @@ finished first.
 Use :func:`collect` to gather metrics for a block::
 
     with collect() as metrics:
-        campaign = Campaign(kernel, arch).run()
-    metrics.snapshot()["counter"]["resolve_access.miss"]
+        BlackForest(rng=0).fit(campaign)
+    metrics.snapshot()["counter"]["tree.fits"]
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ application run, and reports the measured execution time.
 
 Each replicate is a fresh simulated execution under its own
 mechanism-perturbation draw plus per-counter measurement error, like
-back-to-back nvprof runs of the same binary; only the (deterministic)
-workload construction is cached per (kernel, problem).
+back-to-back nvprof runs of the same binary; the (deterministic)
+workloads are built once per :meth:`Profiler.profile` call and shared
+by its replicates.
 """
 
 from __future__ import annotations
@@ -180,23 +181,17 @@ class Profiler:
             self._sim = CPUSimulator(arch)
         else:
             self._sim = GPUSimulator(arch)
-        self._workload_cache: dict[tuple[str, object], Sequence[KernelWorkload]] = {}
 
     def _workloads(
         self, kernel: Kernel, problem: object
     ) -> Sequence[KernelWorkload]:
-        key = (kernel.name, problem)
-        workloads = self._workload_cache.get(key)
-        if workloads is None:
-            try:
-                workloads = kernel.workloads(problem, self.arch)
-            except AttributeError as exc:
-                raise ValueError(
-                    f"kernel {kernel.name!r} cannot run on architecture "
-                    f"{self.arch.name!r} ({self.arch.family}): {exc}"
-                ) from None
-            self._workload_cache[key] = workloads
-        return workloads
+        try:
+            return kernel.workloads(problem, self.arch)
+        except AttributeError as exc:
+            raise ValueError(
+                f"kernel {kernel.name!r} cannot run on architecture "
+                f"{self.arch.name!r} ({self.arch.family}): {exc}"
+            ) from None
 
     def _check(self, findings, subject: str) -> None:
         errors = [f for f in findings if f.severity >= Severity.ERROR]
@@ -284,9 +279,6 @@ class Profiler:
                 )
         workloads = self._workloads(kernel, problem)
         if self.sanitize and self.arch.family != "cpu":
-            # Re-checked per profile() call, not per cache fill: a
-            # workload model corrupted after construction must still
-            # fail fast.
             for wl in workloads:
                 self._check(
                     lint_workload(wl, self.arch),
@@ -362,9 +354,6 @@ class Profiler:
             )
             self._check_deadline(deadline_s, problem)
         return records
-
-    def clear_cache(self) -> None:
-        self._workload_cache.clear()
 
 
 def _corrupt_counters(values: dict[str, float], fault) -> dict[str, float]:

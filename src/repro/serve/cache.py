@@ -75,10 +75,6 @@ class FitCache:
             inc("serve.cache.eviction")
         return entry
 
-    def invalidate(self, key: tuple) -> bool:
-        """Drop one entry (e.g. after a re-publish); True if it was cached."""
-        return self._entries.pop(key, None) is not None
-
     def invalidate_key(self, dirname: str) -> int:
         """Drop every cached version of one campaign (hot reload after a
         re-publish whose version id is not knowable here). Returns how

@@ -12,16 +12,23 @@ from repro import (
 )
 
 
+class CorruptedVectorAdd(VectorAddKernel):
+    """A vectorAdd whose workload model is corrupted after construction
+    (``__post_init__`` blocks bad values at build time)."""
+
+    def __init__(self, mutate):
+        super().__init__()
+        self.mutate = mutate
+
+    def workloads(self, problem, arch):
+        workloads = super().workloads(problem, arch)
+        self.mutate(workloads)
+        return workloads
+
+
 def corrupted_profiler(mutate, arch=GTX580, problem=65536):
-    """A sanitizing profiler whose cached workload model was corrupted
-    after construction (``__post_init__`` blocks bad values at build
-    time, so corruption is injected into the cache)."""
-    kernel = VectorAddKernel()
-    profiler = Profiler(arch, sanitize=True, rng=0)
-    workloads = kernel.workloads(problem, arch)
-    mutate(workloads)
-    profiler._workload_cache[(kernel.name, problem)] = workloads
-    return profiler, kernel, problem
+    """A sanitizing profiler and a kernel with a corrupted workload model."""
+    return Profiler(arch, sanitize=True, rng=0), CorruptedVectorAdd(mutate), problem
 
 
 class TestSanitizerMode:
@@ -72,12 +79,11 @@ class TestSanitizerMode:
         assert "BF107" in exc_info.value.rules()
 
     def test_same_corruption_passes_without_sanitize(self):
-        kernel = VectorAddKernel()
+        def mutate(wls):
+            wls[0].global_accesses[0].l1_hit_fraction = 2.0
+
         profiler = Profiler(GTX580, rng=0)  # sanitize off
-        workloads = kernel.workloads(65536, GTX580)
-        workloads[0].global_accesses[0].l1_hit_fraction = 2.0
-        profiler._workload_cache[(kernel.name, 65536)] = workloads
-        profiler.profile(kernel, 65536)  # silently mis-simulates
+        profiler.profile(CorruptedVectorAdd(mutate), 65536)  # silently mis-simulates
 
     def test_findings_are_structured(self):
         def mutate(wls):

@@ -1,6 +1,6 @@
 """Equivalence tests pinning the vectorized trace/cache paths to the
 retained scalar oracles, plus the probe_bytes validation and the
-resolve_access memoization semantics."""
+trace path of resolve_access."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from repro.gpusim import GTX480, GTX580, K20M
 from repro.gpusim.arch import CacheGeometry
 from repro.gpusim.memory import (
     CacheSim,
-    clear_resolve_access_cache,
     coalesce_trace,
     resolve_access,
-    resolve_access_memoization,
     transactions_from_trace,
     transactions_from_trace_scalar,
 )
@@ -123,10 +121,7 @@ class TestCacheReplayEquivalence:
             sim.warm_trace_hit_rate(trace, probe_bytes=0)
 
 
-class TestResolveAccessMemoization:
-    def setup_method(self):
-        clear_resolve_access_cache()
-
+class TestResolveAccessTrace:
     def _pattern(self, rng):
         return GlobalAccessPattern(
             kind="load",
@@ -135,42 +130,18 @@ class TestResolveAccessMemoization:
         )
 
     @pytest.mark.parametrize("arch", [GTX480, GTX580, K20M])
-    def test_memoized_equals_unmemoized(self, arch):
+    def test_rates_come_from_the_trace(self, arch):
         acc = self._pattern(np.random.default_rng(6))
-        with resolve_access_memoization(False):
-            cold = resolve_access(acc, arch, cache_factor=0.9)
-        warm_miss = resolve_access(acc, arch, cache_factor=0.9)
-        warm_hit = resolve_access(acc, arch, cache_factor=0.9)
-        assert cold == warm_miss == warm_hit
-
-    def test_cache_factor_varies_on_one_cached_entry(self):
-        # The perturbation factor is applied downstream of the cache, so
-        # replicates with different draws still hit and still differ.
-        acc = self._pattern(np.random.default_rng(7))
-        a = resolve_access(acc, GTX580, cache_factor=1.0)
-        b = resolve_access(acc, GTX580, cache_factor=1.2)
-        with resolve_access_memoization(False):
-            b_cold = resolve_access(acc, GTX580, cache_factor=1.2)
-        assert b.l1_hits > a.l1_hits
-        assert b == b_cold
-
-    def test_content_keyed_not_identity_keyed(self):
-        rng = np.random.default_rng(8)
-        acc = self._pattern(rng)
-        first = resolve_access(acc, GTX580)
-        # mutate the trace in place: the key changes with the content
-        acc.addresses[:] = _random_trace(rng, 64)
-        second = resolve_access(acc, GTX580)
-        with resolve_access_memoization(False):
-            expected = resolve_access(acc, GTX580)
-        assert second == expected
-        assert first != second
-
-    def test_context_manager_restores_state(self):
-        with resolve_access_memoization(False):
-            pass
-        acc = self._pattern(np.random.default_rng(9))
-        resolve_access(acc, GTX580)
-        from repro.gpusim.memory import _RESOLVE_CACHE
-
-        assert len(_RESOLVE_CACHE) == 1
+        res = resolve_access(acc, arch)
+        seg = (
+            arch.global_mem_segment_bytes
+            if arch.l1_caches_global_loads
+            else arch.l2_line_bytes
+        )
+        tpr = float(transactions_from_trace(acc.addresses, seg).mean())
+        assert res.transactions == acc.requests * tpr
+        if arch.l1_caches_global_loads:
+            hit = CacheSim(arch.l1).warm_trace_hit_rate(acc.addresses, seg)
+            assert res.l1_hits == res.transactions * hit
+        else:
+            assert res.l1_hits == 0.0

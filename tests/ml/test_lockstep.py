@@ -32,7 +32,7 @@ def _same(a, b):
 
 
 def _data(rng, n, p):
-    """Ties, sparse ±inf and NaN, constant and two-valued columns."""
+    """Ties, sparse ±inf and NaN, constant, all-±inf and two-valued columns."""
     X = rng.normal(size=(n, p))
     for j in range(p):
         kind = rng.random()
@@ -45,6 +45,8 @@ def _data(rng, n, p):
             X[hit, j] = rng.choice([np.inf, -np.inf, np.nan], size=hit.sum())
         elif kind < 0.7:
             X[:, j] = rng.integers(0, 2, size=n)  # two values
+        elif kind < 0.75:
+            X[:, j] = rng.choice([np.inf, -np.inf])  # constant at ±inf
     y = np.round(X[:, 0], 1) if np.all(np.isfinite(X[:, 0])) else rng.normal(size=n)
     y = y + np.round(rng.normal(size=n), 1)
     return X, y
@@ -66,8 +68,6 @@ def _assert_same_tree(fast, ref):
         assert _same(getattr(fast, name), getattr(ref, name)), name
 
 
-# The reference's np.ptp meets inf - inf on the ±inf columns.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestGrowerMatchesReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_trees_stream_for_stream(self, seed):
@@ -88,6 +88,20 @@ class TestGrowerMatchesReference:
                 ref = ReferenceRegressionTree(rng=o, **params).fit(X[boot], y[boot])
                 _assert_same_tree(tree, ref)
                 assert s.bit_generator.state == o.bit_generator.state
+
+    @pytest.mark.parametrize("max_features", [1, 2])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_all_inf_column_is_constant(self, value, max_features):
+        # Counting the ±inf column as examined would end the search one
+        # splittable column early once max_features > 1.
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(12, 3))
+        X[:, 0] = value
+        y = rng.normal(size=12)
+        params = {"max_features": max_features, "min_samples_leaf": 1}
+        fast = RegressionTree(rng=0, **params).fit(X, y)
+        ref = ReferenceRegressionTree(rng=0, **params).fit(X, y)
+        _assert_same_tree(fast, ref)
 
     def test_small_caps_change_nothing(self, monkeypatch):
         rng = np.random.default_rng(11)

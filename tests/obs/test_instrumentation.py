@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from repro import BlackForest, Campaign, GTX580
+from repro.faults import FaultPlan, FaultSpec, fault_injection
 from repro.kernels import VectorAddKernel
 from repro.obs import collect, span, trace
 
@@ -98,23 +99,29 @@ class TestTraceCoverage:
             assert name in tracer.names(), name
 
     def test_metrics_cover_simulator_and_trees(self):
-        with collect() as registry:
+        with trace() as tracer, collect() as registry:
             campaign = _campaign()
             BlackForest(n_trees=20, rng=1).fit(campaign)
         counters = registry.snapshot()["counter"]
         assert counters.get("tree.fits", 0) > 0
-        hits = sum(v for k, v in counters.items()
-                   if k.startswith("resolve_access."))
-        assert hits > 0
+        assert counters.get("tree.nodes", 0) > 0
+        for name in ("gpusim.launch", "gpusim.resolve_access"):
+            assert name in tracer.names(), name
 
     def test_parallel_campaign_merges_worker_metrics(self):
-        with collect() as serial_reg:
+        # Every first launch fails once, so each worker counts retries.
+        def transient_plan():
+            return FaultPlan(
+                [FaultSpec("profiler.launch", "raise", payload={"times": 1})]
+            )
+
+        with collect() as serial_reg, fault_injection(transient_plan()):
             _campaign()
-        with collect() as parallel_reg:
+        with collect() as parallel_reg, fault_injection(transient_plan()):
             _campaign(n_jobs=2)
-        assert serial_reg.snapshot()["counter"] == (
-            parallel_reg.snapshot()["counter"]
-        )
+        serial = serial_reg.snapshot()["counter"]
+        assert serial["campaign.retries{kernel=vectorAdd}"] == len(SIZES)
+        assert serial == parallel_reg.snapshot()["counter"]
 
 
 class TestDisabledOverhead:

@@ -54,15 +54,6 @@ class TestProfile:
         assert "shared_load_replay" in r.counters
         assert "l1_shared_bank_conflict" not in r.counters
 
-    def test_workload_cache_reused(self):
-        prof = Profiler(GTX580, rng=0)
-        prof.profile(VectorAddKernel(), 1 << 16)
-        assert len(prof._workload_cache) == 1
-        prof.profile(VectorAddKernel(), 1 << 16, replicates=3)
-        assert len(prof._workload_cache) == 1
-        prof.clear_cache()
-        assert len(prof._workload_cache) == 0
-
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError):
             Profiler(GTX580).profile(VectorAddKernel(), 100, replicates=0)

@@ -85,8 +85,11 @@ class TestFailureIsolation:
         assert cache.get(("a",), loader("A")) == "A"
 
     def test_invalidate(self):
-        cache = FitCache(max_entries=2)
-        cache.get(("a",), loader("A"))
-        assert cache.invalidate(("a",))
-        assert not cache.invalidate(("a",))
-        assert cache.get(("a",), loader("A2")) == "A2"
+        # invalidate_key drops every cached version of one campaign.
+        cache = FitCache(max_entries=4)
+        for key in (("a", "1"), ("b", "1"), ("a", "2")):
+            cache.get(key, loader(key))
+        assert cache.invalidate_key("a") == 2
+        assert cache.keys() == [("b", "1")]
+        assert cache.invalidate_key("a") == 0
+        assert cache.get(("a", "1"), loader("A2")) == "A2"

@@ -100,7 +100,6 @@ GPUSIM_EXPORTS = [
     "attainable_gflops",
     "available_counters",
     "average_power_w",
-    "clear_resolve_access_cache",
     "coalesce_trace",
     "conflict_degree_for_stride",
     "conflict_degree_from_lanes",
@@ -111,7 +110,6 @@ GPUSIM_EXPORTS = [
     "predictor_counters",
     "replay_count",
     "resolve_access",
-    "resolve_access_memoization",
     "roofline_chart",
     "roofline_point",
     "sum_raw",
